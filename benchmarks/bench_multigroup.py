@@ -4,10 +4,10 @@ Times one full multi-group pass — advertisement flood, subscription
 climb, tree-delay sweep for every group — three ways over the same
 overlay snapshot and the same Zipf rosters:
 
-* ``loop`` — the per-group single-kernel loop
-  (:func:`repro.core.parallel.run_group_pass_loop`), the differential
-  reference.  At large tiers it is measured on a capped group prefix
-  (``loop_groups_measured``) and its throughput extrapolated — the loop
+* ``loop`` — the same kernels called once per group, a batch of one
+  each (:func:`repro.core.parallel.run_group_pass_loop`), the
+  differential reference.  At large tiers it is measured on a capped
+  group prefix (``loop_groups_measured``) and extrapolated — the loop
   is embarrassingly per-group, so throughput is flat in the group count;
 * ``batched`` — the group-major kernels relaxing every group against
   one shared CSR per epoch (:func:`repro.core.parallel.run_group_pass`);
@@ -15,8 +15,8 @@ overlay snapshot and the same Zipf rosters:
   a process pool (:func:`repro.core.parallel.run_sharded`).
 
 Reported per tier: ``groups_per_sec`` and ``peer_groups_per_sec``
-(throughput × overlay size) for each mode, ``speedup_vs_loop`` (the
-headline batching win), ``shard_speedup`` (sharded over batched —
+(throughput × overlay size) for each mode, ``speedup_vs_loop`` (what
+batching amortizes over one-group calls), ``shard_speedup`` (sharded over batched —
 meaningful only with real cores; ``cpu_count`` is recorded alongside)
 and ``bytes_per_group`` (dense per-group state of one pass).  The three
 modes are bit-identical per group (pinned by ``tests/test_multigroup.py``),

@@ -69,7 +69,7 @@ BYTES_PER_PEER_BUDGET = 1024
 #: the cost of slight TTL-frontier divergence from the procedural
 #: event order (~0.2% of rows at ttl=12; the differential suite runs
 #: with the exact single-latency epoch instead).  See
-#: ``repro.core.protocol.flood_advertisement``.
+#: ``repro.core.multigroup.flood_advertisements_batch``.
 EPOCH_LATENCY_MULTIPLE = 4.0
 
 

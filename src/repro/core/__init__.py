@@ -15,13 +15,12 @@ state in dense numpy arrays instead, keyed by *stable peer indices*:
   :class:`~repro.overlay.graph.OverlayNetwork` replacement backed by a
   store, so the existing protocol, fault and observability layers run
   unchanged (and bit-identically) over array state;
-* :mod:`.protocol` — vectorized, epoch-batched protocol evaluation over
-  a :class:`CSRGraph` (advertisement floods, subscription climbs, tree
-  metrics) for runs far beyond what the object layer can reach;
-* :mod:`.multigroup` — group-batched kernel variants over group-major
-  2-D state (:class:`GroupBatch`), relaxing thousands of groups against
-  one shared CSR per epoch pass, bit-identical per group to the
-  single-group kernels;
+* :mod:`.multigroup` — the protocol kernels (advertisement flood,
+  subscription climb, tree delays) over group-major ``(n_groups,
+  n_rows)`` state, relaxing every group against one shared
+  :class:`CSRGraph` per epoch pass;
+* :mod:`.protocol` — the same kernels called with one group and 1-D
+  results, plus the ripple-search stand-in and the synthetic overlay;
 * :mod:`.parallel` — the sharded executor: deterministic group shards
   over a shared-memory world, merged in shard order so results are
   bit-identical for any worker count.
@@ -35,7 +34,6 @@ by the Hypothesis suite in ``tests/test_soa_properties.py``).
 from .arrays import CSRGraph, DynamicAdjacency, PeerArrays
 from .multigroup import (
     BatchFloodResult,
-    GroupBatch,
     climb_subscriptions_batch,
     flood_advertisements_batch,
     group_delay_cells_batch,
@@ -78,7 +76,6 @@ __all__ = [
     "tree_delays",
     "edge_latencies_from_coords",
     "synthetic_power_law_csr",
-    "GroupBatch",
     "BatchFloodResult",
     "pack_members",
     "flood_advertisements_batch",

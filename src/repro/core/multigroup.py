@@ -1,38 +1,43 @@
-"""Group-batched protocol kernels: many groups, one kernel pass.
+"""The protocol kernels: flood, climb and delay over group-major state.
 
-The PR-6 kernels (:mod:`repro.core.protocol`) vectorize *within* one
-group — running thousands of groups still means a Python loop of kernel
-calls, each of which re-walks the shared overlay snapshot.  This module
-stacks the per-group state into group-major 2-D arrays (``(n_groups,
-n_rows)`` with a shared row space) and relaxes **all groups against one
-frozen CSR per epoch**: each global bucket pass gathers the frontier of
-every group at once, so the per-edge work amortizes across the whole
-batch and the pass count is the *maximum* over groups instead of the
-sum.
+One implementation of each protocol step serves every array-path
+caller.  Per-group state is stacked into ``(n_groups, n_rows)`` arrays
+over a shared row space (one frozen :class:`CSRGraph` snapshot) and all
+groups advance together; the single-group entry points in
+:mod:`repro.core.protocol` are these kernels at ``n_groups=1``.
 
-Determinism contract (pinned by ``tests/test_multigroup.py``): every
-per-group row of every output array is **bit-identical** to the value
-the single-group kernel produces for that group alone.  The argument:
+* **Flood** (:func:`flood_advertisements_batch`).  The heap simulation's
+  first receipt of a peer is the earliest arrival over hop-bounded
+  forwarding paths, so the flood is a time-respecting relaxation: peers
+  settle in virtual-time epochs, cells of one global grid (multiples of
+  the epoch width from zero), and each pass relaxes the frontier edges
+  of every group at once.  A sorted worklist of pending ``g * n + row``
+  keys (near list plus far chunks) keeps a pass proportional to the
+  frontier, not to the state.  At the default width, the minimum edge
+  latency, every expansion is final and the NSSA result equals the
+  procedural heap simulation bit for bit
+  (``tests/test_soa_equivalence.py``).
+* **Climb** (:func:`climb_subscriptions_batch`).  Informed members walk
+  their ``upstream`` chains toward the root, one tree level per gather
+  over the same flat keys.
+* **Delay** (:func:`tree_delays_batch`).  An edge worklist settles one
+  tree level per wave.
 
-* all mutable state is indexed ``(group, row)`` and every update writes
-  only its own group's row, so group trajectories never interact;
-* epoch buckets are cells of the global grid (multiples of
-  ``epoch_ms`` from zero) — the same grid every single-group bucket
-  boundary lands on — so batching changes *when* a group's cell is
-  processed but never which arrivals share a group's bucket;
-* duplicate-target resolution sorts on the flattened ``group * n + row``
-  key with the same stable lexsort as the single-group kernel, so the
-  within-group candidate order (and hence the tie-break) is unchanged.
+Determinism contract (``tests/test_multigroup.py``): all mutable state
+is indexed ``(group, row)`` and an update writes only its own group's
+row; a group whose earliest pending cell is later sits a pass out
+without changing its own sequence of cell expansions; duplicate targets
+resolve on the flat key with a stable sort, so the within-group
+candidate order, and hence the tie-break, does not depend on the other
+groups.  Results are therefore independent of batch composition: any
+sharding of the group set, merged in group order, gives the same rows
+(what :mod:`repro.core.parallel` builds on).
 
-Consequently results are independent of batch composition — any
-sharding of the group set, merged in group order, reproduces the
-sequential per-group run bit for bit (the property the sharded executor
-in :mod:`repro.core.parallel` builds on).
-
-For SSA, forwarding subsets are sampled with one independent generator
-per group (callers pass ``rngs``); the per-group draw sequence equals
-the single-group kernel's under the same generator state, so SSA floods
-keep the bit-identity contract group by group.
+For SSA each group samples its forwarding subsets from its own
+generator (callers pass ``rngs``) with the Efraimidis-Spirakis keys of
+the procedural path but in frontier-batched order: runs are
+deterministic per seed and statistically equivalent to, though not
+bit-identical with, the heap simulation, which samples in pop order.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ from ..config import AnnouncementConfig, UtilityConfig
 from ..errors import GroupError
 from ..sim.random import RandomSource
 from .arrays import CSRGraph, _concat_ranges
-from .protocol import _sample_ssa_edges
-from .store import TreeArrays
 
 _DEFAULT_ANNOUNCEMENT = AnnouncementConfig()
 
@@ -84,89 +87,6 @@ def _merge_pending(work: np.ndarray, work_arrival: np.ndarray,
     return merged_keys[last], merged_values[last]
 
 
-class GroupBatch:
-    """Group-major tree columns for a batch of groups.
-
-    The 2-D counterpart of :class:`~repro.core.store.TreeArrays`: row
-    ``g`` of every column is group ``g``'s per-store-row state, all
-    groups sharing one row space (one overlay snapshot).
-    """
-
-    __slots__ = ("parent", "on_tree", "is_member", "has_ad", "roots")
-
-    def __init__(self, n_groups: int, rows: int,
-                 roots: np.ndarray | None = None) -> None:
-        if n_groups < 1 or rows < 1:
-            raise GroupError("need at least one group and one row")
-        self.parent = np.full((n_groups, rows), -1, dtype=np.int64)
-        self.on_tree = np.zeros((n_groups, rows), dtype=bool)
-        self.is_member = np.zeros((n_groups, rows), dtype=bool)
-        self.has_ad = np.zeros((n_groups, rows), dtype=bool)
-        if roots is None:
-            self.roots = np.full(n_groups, -1, dtype=np.int64)
-        else:
-            self.roots = np.asarray(roots, dtype=np.int64).copy()
-            if self.roots.shape != (n_groups,):
-                raise GroupError("need one root per group")
-            if ((self.roots < 0) | (self.roots >= rows)).any():
-                raise GroupError("root row out of range")
-            g = np.arange(n_groups)
-            self.on_tree[g, self.roots] = True
-            self.is_member[g, self.roots] = True
-            self.has_ad[g, self.roots] = True
-
-    # ------------------------------------------------------------------
-    @property
-    def n_groups(self) -> int:
-        """Number of stacked groups."""
-        return self.parent.shape[0]
-
-    @property
-    def rows(self) -> int:
-        """Shared row-space length."""
-        return self.parent.shape[1]
-
-    @classmethod
-    def from_trees(cls, trees: Sequence[TreeArrays]) -> "GroupBatch":
-        """Stack per-group :class:`TreeArrays` into one batch.
-
-        Columns shorter than the widest tree are zero-padded on the
-        right (fresh rows a tree has not grown to yet carry the same
-        defaults either way).
-        """
-        if not trees:
-            raise GroupError("need at least one tree")
-        rows = max(tree.rows for tree in trees)
-        batch = cls(len(trees), rows)
-        for g, tree in enumerate(trees):
-            r = tree.rows
-            batch.parent[g, :r] = tree.parent
-            batch.on_tree[g, :r] = tree.on_tree
-            batch.is_member[g, :r] = tree.is_member
-            batch.has_ad[g, :r] = tree.has_ad
-            batch.roots[g] = tree.root
-        return batch
-
-    def to_trees(self) -> list[TreeArrays]:
-        """Unstack into per-group :class:`TreeArrays` (full width)."""
-        trees: list[TreeArrays] = []
-        for g in range(self.n_groups):
-            tree = TreeArrays(self.rows)
-            tree.root = int(self.roots[g])
-            tree.parent[:] = self.parent[g]
-            tree.on_tree[:] = self.on_tree[g]
-            tree.is_member[:] = self.is_member[g]
-            tree.has_ad[:] = self.has_ad[g]
-            trees.append(tree)
-        return trees
-
-    def nbytes(self) -> int:
-        """Total bytes held by the batch columns."""
-        return (self.parent.nbytes + self.on_tree.nbytes
-                + self.is_member.nbytes + self.has_ad.nbytes
-                + self.roots.nbytes)
-
-
 def pack_members(members_per_group: Sequence[np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Pack ragged per-group member row lists into CSR-style arrays.
@@ -189,10 +109,9 @@ def pack_members(members_per_group: Sequence[np.ndarray]
 class BatchFloodResult:
     """Dense outcome of one batch of advertisement floods.
 
-    Row ``g`` of each array is exactly the ``FloodResult`` of group
-    ``g``'s single-group flood: ``arrival`` is ``inf`` for unreached
-    rows, ``upstream``/``hops`` are ``-1``, the rendezvous row has
-    arrival 0 and hops 0.
+    Row ``g`` of each array is group ``g``'s flood: ``arrival`` is
+    ``inf`` for unreached rows, ``upstream``/``hops`` are ``-1``, the
+    rendezvous row has arrival 0 and hops 0.
     """
 
     roots: np.ndarray
@@ -226,18 +145,28 @@ def flood_advertisements_batch(
     rngs: Sequence[RandomSource] | None = None,
     config: AnnouncementConfig | None = None,
     utility_config: UtilityConfig | None = None,
-    alive: np.ndarray | None = None,
     epoch_ms: float | None = None,
 ) -> BatchFloodResult:
     """Flood one advertisement per group in shared epoch passes.
 
-    Same semantics per group as
-    :func:`repro.core.protocol.flood_advertisement` — see the module
-    docstring for the bit-identity argument.  ``roots`` holds one
-    rendezvous row per group; for ``scheme="ssa"`` pass ``capacities``
-    plus one independent ``rngs[g]`` per group (the per-group draw
-    sequence then matches a single-group flood seeded the same way).
+    ``latency`` holds one positive transit latency per directed CSR
+    edge, aligned with ``csr.indices``; ``roots`` holds one rendezvous
+    row per group.  Retired rows have no links in a ``snapshot_csr()``,
+    so the flood needs no liveness mask.
 
+    ``epoch_ms`` is the virtual-time bucket width.  The default, the
+    minimum edge latency, makes every expansion final (no candidate
+    generated in a bucket can land inside it), so the result matches
+    the heap simulation exactly.  Wider buckets run fewer passes and
+    stay exact while the TTL gate is slack (``ttl`` at or above the
+    reached hop radius); under a tight gate a within-bucket arrival
+    improvement may change a peer's hop count, and hence its forwarding
+    eligibility, after it forwarded, which the fixpoint cannot retract.
+    Only ``benchmarks/bench_scale.py`` widens it.
+
+    For ``scheme="ssa"`` each peer forwards to a utility-sampled subset
+    of its neighbors, drawn once, when the peer first joins a frontier;
+    pass ``capacities`` plus one independent ``rngs[g]`` per group.
     The SSA forwarding masks are materialized lazily, one ``bool(E)``
     edge mask per group that actually floods — batch width is bounded
     by memory for SSA; NSSA state is ``O(n_groups * n_rows)``.
@@ -290,21 +219,19 @@ def flood_advertisements_batch(
     # expansion ends pendingness — so each pass touches O(pending)
     # state instead of scanning the full (n_groups, n) masks for the
     # few groups still flooding.  Sorted flat keys are group-major with
-    # ascending rows per group, the exact sender order the bit-identity
-    # contract requires.  All worklist indexing runs on the raveled
-    # state views: one 1-D gather per array per pass.
+    # ascending rows per group, so a group's sender order is the same
+    # in any batch.  All worklist indexing runs on the raveled state
+    # views: one 1-D gather per array per pass.
     arrival_f = arrival.ravel()
     expanded_f = expanded_at.ravel()
     hops_f = hops.ravel()
     upstream_f = upstream.ravel()
     n64 = np.int64(n)
     work = g_index * n64 + roots
-    if alive is not None:
-        work = work[alive[roots]]
     work_arrival = arrival_f[work]
     # Calendar split of the pending set.  The grid cells are global —
-    # multiples of epoch_ms from zero, the same grid every per-group
-    # bucket lands on — so each outer iteration expands the earliest
+    # multiples of epoch_ms from zero, the same grid for any batch
+    # composition — so each outer iteration expands the earliest
     # nonempty cell across all groups with one *scalar* boundary.  A
     # group whose earliest pending cell is later simply sits the pass
     # out; its own sequence of cell expansions (and hence its rows) is
@@ -377,7 +304,7 @@ def flood_advertisements_batch(
                 touched = _relax_batch(
                     csr, latency, senders, frontier_arrival[forwards],
                     frontier_hops[forwards], n64, arrival_f, upstream_f,
-                    hops_f, allowed, alive)
+                    hops_f, allowed)
             # Pendingness updates incrementally: the expanded frontier
             # drops out, the coordinates relaxation just improved join
             # the near list (or the far store, if due past the
@@ -407,14 +334,13 @@ def _relax_batch(csr: CSRGraph, latency: np.ndarray,
                  sender_hops: np.ndarray, n: np.int64,
                  arrival_f: np.ndarray, upstream_f: np.ndarray,
                  hops_f: np.ndarray,
-                 allowed: dict[int, np.ndarray] | None,
-                 alive: np.ndarray | None
+                 allowed: dict[int, np.ndarray] | None
                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """One batched relaxation of every out-edge of the flat senders.
 
     ``senders`` holds sorted ``g * n + row`` flat keys from the
-    worklist, so entries are group-major with ascending rows per group —
-    each group's edge expansion order equals the single-group kernel's.
+    worklist, so entries are group-major with ascending rows per group
+    and each group's edges expand in CSR order.
     ``sender_arrival``/``sender_hops`` carry the values the caller
     already gathered, so relaxation runs entirely on 1-D flat views
     with no 2-D fancy indexing.  Returns ``(keys, arrivals)`` — the
@@ -457,18 +383,17 @@ def _relax_batch(csr: CSRGraph, latency: np.ndarray,
     tflat = (senders - sv)[pair] + targets
     candidates = sender_arrival[pair] + latency[positions]
     better = candidates < arrival_f[tflat]
-    if alive is not None:
-        better &= alive[targets]
     if not better.any():
         return None
     pair, tflat = pair[better], tflat[better]
     candidates = candidates[better]
-    # Duplicate (group, target) pairs resolve to the earliest candidate
-    # in each group's edge order, exactly as the single-group kernel
-    # does.  The stable integer sort keeps edge order within equal
-    # keys; the (rare) duplicate runs then pick their minimum candidate
-    # with a segmented reduce — far cheaper than lexsorting on the
-    # float candidates.
+    # Duplicate (group, target) pairs resolve to the earliest
+    # candidate, exact-time ties to the first in edge order — the heap
+    # simulation's send-sequence tie-break for same-time copies.  The
+    # stable integer sort keeps edge order within equal keys; the
+    # (rare) duplicate runs then pick their minimum candidate with a
+    # segmented reduce — far cheaper than lexsorting on the float
+    # candidates.
     order = np.argsort(tflat, kind="stable")
     flat_sorted = tflat[order]
     first = np.ones(order.shape[0], dtype=bool)
@@ -502,10 +427,9 @@ def _sample_ssa_edges_batch(
         utility_config: UtilityConfig) -> None:
     """Sample forwarding subsets group by group.
 
-    Each group re-enters the exact single-group sampling helper on its
-    own state slices and its own generator, so the per-group draw
-    sequence — and hence the sampled forwarding mask — matches a
-    single-group SSA flood seeded identically.
+    Each group samples on its own state slices with its own generator,
+    so its draw sequence — and hence its forwarding mask — does not
+    depend on which other groups share the batch.
     """
     for g in np.unique(sg):
         g = int(g)
@@ -517,25 +441,99 @@ def _sample_ssa_edges_batch(
                           capacities, rngs[g], config, utility_config)
 
 
+def _sample_ssa_edges(csr: CSRGraph, latency: np.ndarray,
+                      senders: np.ndarray, sampled: np.ndarray,
+                      allowed: np.ndarray, capacities: np.ndarray,
+                      rng: RandomSource, config: AnnouncementConfig,
+                      utility_config: UtilityConfig) -> None:
+    """Sample the forwarding subset of newly-frontiered SSA senders.
+
+    One segmented pass over the senders' edge slices: per-sender
+    resource levels, Eq. 1-5 preferences and Efraimidis-Spirakis keys,
+    then a per-segment top-``fanout`` selection.  Senders are processed
+    in row order so the draw sequence is deterministic per seed.
+    """
+    fresh = senders[~sampled[senders]]
+    if fresh.size == 0:
+        return
+    fresh = np.sort(fresh)
+    sampled[fresh] = True
+    counts = np.diff(csr.indptr)[fresh]
+    positions = _concat_ranges(csr.indptr[fresh], counts)
+    if positions.size == 0:
+        return
+    # Segment bookkeeping: edge i belongs to segment seg[i] with
+    # contiguous extent [seg_start, seg_start + seg_count).
+    nonzero = counts > 0
+    seg_counts = counts[nonzero]
+    seg_rows = fresh[nonzero]
+    seg_starts = np.zeros(seg_counts.shape[0], dtype=np.int64)
+    np.cumsum(seg_counts[:-1], out=seg_starts[1:])
+    seg = np.repeat(np.arange(seg_counts.shape[0]), seg_counts)
+
+    neighbor_caps = capacities[csr.indices[positions]]
+    own_caps = capacities[seg_rows]
+    # Resource level r = fraction of sampled (here: neighbor) capacities
+    # strictly below the sender's own, clamped like the scalar helper.
+    below = (neighbor_caps < own_caps[seg]).astype(np.float64)
+    r = np.add.reduceat(below, seg_starts) / seg_counts
+    r = np.clip(r, utility_config.min_resource_level,
+                utility_config.max_resource_level)
+    alpha, beta = 1.0 - r, r
+    gamma = r ** (-np.log(r))
+
+    # Distance preference (Eq. 1-2) on the edge latencies.
+    d = np.maximum(latency[positions], utility_config.min_distance_ms)
+    d_max = np.maximum.reduceat(d, seg_starts)
+    dn = d / d_max[seg]
+    dp = 1.0 / dn - alpha[seg]
+    dp = dp / np.add.reduceat(dp, seg_starts)[seg]
+    # Capacity preference (Eq. 3).
+    cp = np.maximum(neighbor_caps - beta[seg], 1e-12)
+    cp = cp / np.add.reduceat(cp, seg_starts)[seg]
+    preference = gamma[seg] * cp + (1.0 - gamma[seg]) * dp
+    preference = preference / np.add.reduceat(
+        preference, seg_starts)[seg]
+
+    # Efraimidis-Spirakis keys; per-segment top-fanout selection.
+    draws = rng.random(preference.shape[0])
+    keys = np.log(draws) / preference
+    fanout = np.maximum(
+        config.ssa_min_fanout,
+        np.rint(config.ssa_fanout_fraction * seg_counts).astype(np.int64))
+    fanout = np.minimum(fanout, seg_counts)
+    order = np.lexsort((-keys, seg))
+    rank = np.arange(order.shape[0], dtype=np.int64) - seg_starts[seg]
+    picked = positions[order[rank < fanout[seg]]]
+    allowed[picked] = True
+
+
 # ----------------------------------------------------------------------
 # Subscription and tree kernels
 # ----------------------------------------------------------------------
 def climb_subscriptions_batch(
         flood: BatchFloodResult, member_rows: np.ndarray,
-        member_indptr: np.ndarray, max_rounds: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+        member_indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Graft every group's informed members' reverse paths at once.
 
-    ``member_rows``/``member_indptr`` pack the ragged per-group member
-    sets (see :func:`pack_members`).  Returns group-major ``(on_tree,
-    is_member)`` masks; row ``g`` equals
-    :func:`repro.core.protocol.climb_subscriptions` on group ``g``.
+    Reverse-path subscription: every member that received the
+    advertisement walks its ``upstream`` chain toward the root, one
+    tree level per gather.  ``member_rows``/``member_indptr`` pack the
+    ragged per-group member sets (see :func:`pack_members`).  Returns
+    group-major ``(on_tree, is_member)`` masks; group ``g``'s parent
+    array is ``flood.upstream[g]`` restricted to ``on_tree[g]``.
+    Members that never received the advertisement are left off the
+    tree (see :func:`repro.core.protocol.attach_searchers`).
     """
     n_groups, n = flood.arrival.shape
     member_rows = np.asarray(member_rows, dtype=np.int64)
     member_indptr = np.asarray(member_indptr, dtype=np.int64)
-    if member_indptr.shape != (n_groups + 1,):
+    if (member_indptr.shape != (n_groups + 1,) or member_indptr[0] != 0
+            or member_indptr[-1] != member_rows.shape[0]):
         raise GroupError("member indptr does not match the batch")
+    # A negative row would wrap into the previous group's flat keys.
+    if ((member_rows < 0) | (member_rows >= n)).any():
+        raise GroupError("member row out of range")
     on_tree = np.zeros((n_groups, n), dtype=bool)
     is_member = np.zeros((n_groups, n), dtype=bool)
     n64 = np.int64(n)
@@ -550,8 +548,7 @@ def climb_subscriptions_batch(
     upstream_f = flood.upstream.ravel()
     cursor = mg * n64 + member_rows
     cursor = cursor[np.isfinite(flood.arrival.ravel()[cursor])]
-    rounds = max_rounds if max_rounds is not None else n
-    for _ in range(rounds):
+    for _ in range(n):
         cursor = cursor[~on_tree_f[cursor]]
         if cursor.size == 0:
             break
@@ -569,15 +566,12 @@ def climb_subscriptions_batch(
 
 
 def tree_delays_batch(parent: np.ndarray, on_tree: np.ndarray,
-                      arrival_latency: np.ndarray | None = None,
-                      coords: np.ndarray | None = None,
+                      coords: np.ndarray,
                       roots: np.ndarray | None = None) -> np.ndarray:
     """Per-row delivery delay from each group's root (group-major, ms).
 
-    The 2-D counterpart of :func:`repro.core.protocol.tree_delays`:
-    edge cost is the shared coordinate distance between child and
-    parent rows unless explicit group-major upstream latencies are
-    given; off-tree rows (and every row of a rootless group) get
+    Edge cost is the shared coordinate distance between child and
+    parent rows; off-tree rows (and every row of a rootless group) get
     ``inf``.
     """
     n_groups, n = parent.shape
@@ -596,13 +590,8 @@ def tree_delays_batch(parent: np.ndarray, on_tree: np.ndarray,
     # instead of rescanning the full (n_groups, n) masks per level.
     hg, hv = np.nonzero(on_tree & (parent >= 0))
     hp = parent[hg, hv]
-    if arrival_latency is None:
-        if coords is None:
-            raise GroupError("need coords or per-row upstream latencies")
-        delta = coords[hv] - coords[hp]
-        edge_cost = np.sqrt((delta * delta).sum(axis=1))
-    else:
-        edge_cost = arrival_latency[hg, hv]
+    delta = coords[hv] - coords[hp]
+    edge_cost = np.sqrt((delta * delta).sum(axis=1))
     delays_f = delays.ravel()
     n64 = np.int64(n)
     child = hg * n64 + hv

@@ -39,7 +39,6 @@ from .multigroup import (
     group_depths_batch,
     tree_delays_batch,
 )
-from .protocol import climb_subscriptions, flood_advertisement, tree_delays
 
 #: Arrays a :class:`SharedWorld` publishes, in a fixed order so the
 #: picklable handle stays a plain tuple of (name, shape, dtype) specs.
@@ -168,7 +167,6 @@ def run_group_pass(csr: CSRGraph, latency: np.ndarray,
                    capacities: np.ndarray | None = None,
                    ssa_seed: int | None = None,
                    group_offset: int = 0,
-                   epoch_ms: float | None = None,
                    dims_layout=None) -> GroupPassResult:
     """One batched flood + climb + delay pass over a slice of groups.
 
@@ -188,7 +186,7 @@ def run_group_pass(csr: CSRGraph, latency: np.ndarray,
                 for g in range(roots.shape[0])]
     flood = flood_advertisements_batch(
         csr, latency, roots, ttl, scheme, capacities=capacities,
-        rngs=rngs, epoch_ms=epoch_ms)
+        rngs=rngs)
     on_tree, is_member = climb_subscriptions_batch(
         flood, member_rows, member_indptr)
     parent = np.where(on_tree, flood.upstream, -1)
@@ -199,6 +197,17 @@ def run_group_pass(csr: CSRGraph, latency: np.ndarray,
                          dims_layout)
 
 
+def _run_slice(csr, latency, coords, roots, member_rows, member_indptr,
+               lo: int, hi: int, group_offset: int = 0,
+               **kwargs) -> GroupPassResult:
+    """:func:`run_group_pass` over groups ``[lo, hi)`` of a packed set."""
+    return run_group_pass(
+        csr, latency, coords, roots[lo:hi],
+        member_rows[member_indptr[lo]:member_indptr[hi]],
+        member_indptr[lo:hi + 1] - member_indptr[lo],
+        group_offset=group_offset + lo, **kwargs)
+
+
 def run_group_pass_loop(csr: CSRGraph, latency: np.ndarray,
                         coords: np.ndarray, roots: np.ndarray,
                         member_rows: np.ndarray,
@@ -207,45 +216,18 @@ def run_group_pass_loop(csr: CSRGraph, latency: np.ndarray,
                         capacities: np.ndarray | None = None,
                         ssa_seed: int | None = None,
                         group_offset: int = 0,
-                        epoch_ms: float | None = None,
                         dims_layout=None) -> GroupPassResult:
-    """Differential reference: the same pass as a per-group kernel loop.
+    """Differential reference: the same pass, one group per batch.
 
-    Calls the single-group PR-6 kernels once per group; the batched
-    path must reproduce this bit for bit (and the benchmark measures
-    its speedup against it).
+    Pins batch-composition invariance, which the sharded executor
+    relies on; the benchmark measures what batching amortizes.
     """
-    n_groups = roots.shape[0]
-    n = csr.node_count
-    arrival = np.empty((n_groups, n))
-    upstream = np.empty((n_groups, n), dtype=np.int64)
-    parent = np.empty((n_groups, n), dtype=np.int64)
-    on_tree = np.empty((n_groups, n), dtype=bool)
-    is_member = np.empty((n_groups, n), dtype=bool)
-    delays = np.empty((n_groups, n))
-    hops = np.empty((n_groups, n), dtype=np.int64)
-    for g in range(n_groups):
-        rng = None
-        if scheme == "ssa":
-            if ssa_seed is None:
-                raise GroupError("ssa passes need ssa_seed")
-            rng = spawn_rng(ssa_seed, "multigroup", group_offset + g)
-        flood = flood_advertisement(
-            csr, latency, int(roots[g]), ttl, scheme,
-            capacities=capacities, rng=rng, epoch_ms=epoch_ms)
-        members = member_rows[member_indptr[g]:member_indptr[g + 1]]
-        tree_mask, member_mask = climb_subscriptions(flood, members)
-        tree_parent = np.where(tree_mask, flood.upstream, -1)
-        arrival[g] = flood.arrival
-        upstream[g] = flood.upstream
-        parent[g] = tree_parent
-        on_tree[g] = tree_mask
-        is_member[g] = member_mask
-        hops[g] = flood.hops
-        delays[g] = tree_delays(tree_parent, tree_mask, coords=coords,
-                                root=int(roots[g]))
-    return _pass_metrics(arrival, upstream, parent, on_tree, is_member,
-                         delays, member_indptr, hops, dims_layout)
+    return merge_results([
+        _run_slice(csr, latency, coords, roots, member_rows,
+                   member_indptr, g, g + 1, group_offset, ttl=ttl,
+                   scheme=scheme, capacities=capacities,
+                   ssa_seed=ssa_seed, dims_layout=dims_layout)
+        for g in range(roots.shape[0])])
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +330,6 @@ def _run_shard(payload: tuple) -> GroupPassResult:
             ttl=params["ttl"], scheme=params["scheme"],
             capacities=capacities if params["scheme"] == "ssa" else None,
             ssa_seed=params["ssa_seed"], group_offset=lo,
-            epoch_ms=params["epoch_ms"],
             dims_layout=params["dims_layout"])
     finally:
         _detach(segments)
@@ -359,8 +340,7 @@ def run_sharded(csr: CSRGraph, latency: np.ndarray, coords: np.ndarray,
                 member_indptr: np.ndarray, *, ttl: int,
                 scheme: str = "nssa",
                 capacities: np.ndarray | None = None,
-                ssa_seed: int | None = None,
-                epoch_ms: float | None = None, shards: int = 4,
+                ssa_seed: int | None = None, shards: int = 4,
                 jobs: int = 1, dims_layout=None) -> GroupPassResult:
     """Run a multi-group pass over deterministic group shards.
 
@@ -374,22 +354,18 @@ def run_sharded(csr: CSRGraph, latency: np.ndarray, coords: np.ndarray,
     member_indptr = np.asarray(member_indptr, dtype=np.int64)
     bounds = shard_bounds(roots.shape[0], shards)
     params = {"ttl": int(ttl), "scheme": scheme, "ssa_seed": ssa_seed,
-              "epoch_ms": epoch_ms, "dims_layout": dims_layout,
+              "dims_layout": dims_layout,
               "unregister": pool_context().get_start_method() != "fork"}
     if scheme == "ssa" and capacities is None:
         raise GroupError("ssa passes need capacities")
     jobs = max(1, int(jobs))
     if jobs == 1 or len(bounds) == 1:
-        parts = []
-        for lo, hi in bounds:
-            parts.append(run_group_pass(
-                csr, latency, coords, roots[lo:hi],
-                member_rows[member_indptr[lo]:member_indptr[hi]],
-                member_indptr[lo:hi + 1] - member_indptr[lo],
-                ttl=int(ttl), scheme=scheme, capacities=capacities,
-                ssa_seed=ssa_seed, group_offset=lo, epoch_ms=epoch_ms,
-                dims_layout=dims_layout))
-        return merge_results(parts)
+        return merge_results([
+            _run_slice(csr, latency, coords, roots, member_rows,
+                       member_indptr, lo, hi, ttl=int(ttl), scheme=scheme,
+                       capacities=capacities, ssa_seed=ssa_seed,
+                       dims_layout=dims_layout)
+            for lo, hi in bounds])
     world = SharedWorld()
     try:
         handle = world.publish(

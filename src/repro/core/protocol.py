@@ -1,22 +1,12 @@
-"""Vectorized, epoch-batched protocol kernels over CSR snapshots.
+"""Single-group protocol entry points and the scale path's tree helpers.
 
-The object layer simulates an advertisement flood one message at a time
-on a binary heap.  The first receipt of a peer in that simulation is
-exactly the earliest arrival over hop-bounded forwarding paths, so the
-whole flood collapses to a *time-respecting relaxation*: peers are
-settled in virtual-time epochs (delta-stepping buckets) and each epoch
-relaxes every frontier edge in one numpy pass instead of dispatching
-one event per copy.  For NSSA the result — arrival time, upstream and
-hop count per peer — is **bit-identical** to the heap simulation
-(pinned by ``tests/test_soa_equivalence.py``); for SSA the per-peer
-forwarding subsets are sampled with the same Efraimidis-Spirakis keys
-but in frontier-batched order, so runs are deterministic per seed and
-statistically equivalent to, though not bit-identical with, the object
-path (which samples in heap-pop order).
-
-Subscription climbs, searcher attachment and dissemination delays are
-the same story: parent-pointer chases become per-level gathers, BFS
-becomes frontier sweeps, and per-tree metrics become ``bincount``.
+:func:`flood_advertisement`, :func:`climb_subscriptions` and
+:func:`tree_delays` run one group through the group-major kernels of
+:mod:`repro.core.multigroup` (a batch of one) and hand back 1-D rows,
+so callers that hold a single group never see the batch layout.  The
+module also owns what has no batched counterpart: coordinate edge
+latencies, the ripple-search stand-in (:func:`attach_searchers`) and
+the synthetic overlay the scale benchmark floods.
 """
 
 from __future__ import annotations
@@ -29,9 +19,12 @@ from ..config import AnnouncementConfig, UtilityConfig
 from ..errors import GroupError
 from ..sim.random import RandomSource
 from .arrays import CSRGraph, _concat_ranges
-
-_DEFAULT_ANNOUNCEMENT = AnnouncementConfig()
-_DEFAULT_UTILITY = UtilityConfig()
+from .multigroup import (
+    BatchFloodResult,
+    climb_subscriptions_batch,
+    flood_advertisements_batch,
+    tree_delays_batch,
+)
 
 
 @dataclass(frozen=True)
@@ -83,290 +76,41 @@ def flood_advertisement(
     rng: RandomSource | None = None,
     config: AnnouncementConfig | None = None,
     utility_config: UtilityConfig | None = None,
-    alive: np.ndarray | None = None,
     epoch_ms: float | None = None,
 ) -> FloodResult:
     """Flood one advertisement; returns per-row receipt arrays.
 
-    ``latency`` holds one positive transit latency per directed CSR
-    edge, aligned with ``csr.indices``.  ``epoch_ms`` is the virtual-
-    time bucket width of the batched dispatch: every peer whose
-    tentative arrival falls inside the current epoch is settled
-    together and its out-edges relax in one vectorized pass.  The
-    default width is the minimum edge latency, which makes every
-    expansion *final* — no candidate generated in a bucket can land
-    inside it — so the result matches the heap simulation exactly.
-    Wider buckets run fewer passes and stay exact while the TTL gate
-    is slack (``ttl`` at or above the reached hop radius), but under a
-    tight gate a within-bucket arrival improvement may retroactively
-    change a peer's hop count and hence its forwarding eligibility,
-    which the fixpoint cannot retract; keep the default when bit-exact
-    receipts matter.
-
-    For ``scheme="ssa"`` each peer forwards to a utility-sampled subset
-    of its neighbors (needs ``capacities`` and ``rng``); the sample is
-    drawn once, when the peer first joins a frontier.
+    :func:`~repro.core.multigroup.flood_advertisements_batch` with one
+    group; ``rng`` is that group's SSA generator.
     """
-    if scheme not in ("nssa", "ssa"):
-        raise GroupError(f"unknown announcement scheme {scheme!r}")
-    n = csr.node_count
-    if not 0 <= root < n:
-        raise GroupError(f"root row {root} out of range")
-    latency = np.asarray(latency, dtype=np.float64)
-    if latency.shape != csr.indices.shape:
-        raise GroupError("need one latency per directed CSR edge")
-    if latency.size and latency.min() <= 0.0:
-        raise GroupError("edge latencies must be positive")
-    config = config or _DEFAULT_ANNOUNCEMENT
-    if scheme == "ssa":
-        if capacities is None or rng is None:
-            raise GroupError("ssa flooding needs capacities and an rng")
-        utility_config = utility_config or _DEFAULT_UTILITY
-
-    if epoch_ms is None:
-        epoch_ms = float(latency.min()) if latency.size else 1.0
-    if epoch_ms <= 0.0:
-        raise GroupError("epoch_ms must be positive")
-
-    arrival = np.full(n, np.inf)
-    upstream = np.full(n, -1, dtype=np.int64)
-    hops = np.full(n, -1, dtype=np.int64)
-    arrival[root] = 0.0
-    hops[root] = 0
-    #: Arrival value at which a row's edges were last relaxed; a row
-    #: whose arrival improves below this re-enters the frontier.
-    expanded_at = np.full(n, np.inf)
-    #: Per-directed-edge mask of links the owner actually forwards on
-    #: (SSA samples it lazily; NSSA forwards everywhere).
-    allowed = None if scheme == "nssa" else np.zeros(
-        csr.indices.shape[0], dtype=bool)
-    sampled = np.zeros(n, dtype=bool) if scheme == "ssa" else None
-    degrees = csr.degrees()
-
-    while True:
-        pending = arrival < expanded_at
-        if alive is not None:
-            pending &= alive
-        if not pending.any():
-            break
-        # Epoch boundary: settle everything due before the next bucket
-        # edge at or after the earliest pending arrival.
-        floor = arrival[pending].min()
-        bucket_end = (np.floor(floor / epoch_ms) + 1.0) * epoch_ms
-        while True:
-            frontier = np.nonzero(pending & (arrival < bucket_end))[0]
-            if frontier.size == 0:
-                break
-            expanded_at[frontier] = arrival[frontier]
-            senders = frontier[hops[frontier] < ttl]
-            if senders.size:
-                if scheme == "ssa":
-                    _sample_ssa_edges(
-                        csr, latency, senders, sampled, allowed,
-                        capacities, rng, config, utility_config)
-                _relax(csr, latency, senders, arrival, upstream, hops,
-                       allowed, alive)
-            pending = arrival < expanded_at
-            if alive is not None:
-                pending &= alive
-
-    return FloodResult(root=root, arrival=arrival, upstream=upstream,
-                       hops=hops)
+    batch = flood_advertisements_batch(
+        csr, latency, np.array([root]), ttl, scheme,
+        capacities=capacities, rngs=None if rng is None else [rng],
+        config=config, utility_config=utility_config, epoch_ms=epoch_ms)
+    return FloodResult(root=root, arrival=batch.arrival[0],
+                       upstream=batch.upstream[0], hops=batch.hops[0])
 
 
-def _relax(csr: CSRGraph, latency: np.ndarray, senders: np.ndarray,
-           arrival: np.ndarray, upstream: np.ndarray, hops: np.ndarray,
-           allowed: np.ndarray | None,
-           alive: np.ndarray | None) -> None:
-    """One batched relaxation of every out-edge of ``senders``."""
-    counts = np.diff(csr.indptr)[senders]
-    positions = _concat_ranges(csr.indptr[senders], counts)
-    if positions.size == 0:
-        return
-    if allowed is not None:
-        positions = positions[allowed[positions]]
-        if positions.size == 0:
-            return
-    sources = csr.edge_sources()[positions]
-    targets = csr.indices[positions].astype(np.int64)
-    candidates = arrival[sources] + latency[positions]
-    better = candidates < arrival[targets]
-    if alive is not None:
-        better &= alive[targets]
-    if not better.any():
-        return
-    sources, targets = sources[better], targets[better]
-    candidates = candidates[better]
-    # Resolve duplicate targets to the earliest candidate; the stable
-    # lexsort breaks exact-time ties by edge order, mirroring the heap
-    # simulation's send-sequence tie-break for same-time copies.
-    order = np.lexsort((candidates, targets))
-    targets_sorted = targets[order]
-    first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = targets_sorted[1:] != targets_sorted[:-1]
-    chosen = order[first]
-    t, s = targets[chosen], sources[chosen]
-    arrival[t] = candidates[chosen]
-    upstream[t] = s
-    hops[t] = hops[s] + 1
-
-
-def _sample_ssa_edges(csr: CSRGraph, latency: np.ndarray,
-                      senders: np.ndarray, sampled: np.ndarray,
-                      allowed: np.ndarray, capacities: np.ndarray,
-                      rng: RandomSource, config: AnnouncementConfig,
-                      utility_config: UtilityConfig) -> None:
-    """Sample the forwarding subset of newly-frontiered SSA senders.
-
-    One segmented pass over the senders' edge slices: per-sender
-    resource levels, Eq. 1-5 preferences and Efraimidis-Spirakis keys,
-    then a per-segment top-``fanout`` selection.  Senders are processed
-    in row order so the draw sequence is deterministic per seed.
-    """
-    fresh = senders[~sampled[senders]]
-    if fresh.size == 0:
-        return
-    fresh = np.sort(fresh)
-    sampled[fresh] = True
-    counts = np.diff(csr.indptr)[fresh]
-    positions = _concat_ranges(csr.indptr[fresh], counts)
-    if positions.size == 0:
-        return
-    # Segment bookkeeping: edge i belongs to segment seg[i] with
-    # contiguous extent [seg_start, seg_start + seg_count).
-    nonzero = counts > 0
-    seg_counts = counts[nonzero]
-    seg_rows = fresh[nonzero]
-    seg_starts = np.zeros(seg_counts.shape[0], dtype=np.int64)
-    np.cumsum(seg_counts[:-1], out=seg_starts[1:])
-    seg = np.repeat(np.arange(seg_counts.shape[0]), seg_counts)
-
-    neighbor_caps = capacities[csr.indices[positions]]
-    own_caps = capacities[seg_rows]
-    # Resource level r = fraction of sampled (here: neighbor) capacities
-    # strictly below the sender's own, clamped like the scalar helper.
-    below = (neighbor_caps < own_caps[seg]).astype(np.float64)
-    r = np.add.reduceat(below, seg_starts) / seg_counts
-    r = np.clip(r, utility_config.min_resource_level,
-                utility_config.max_resource_level)
-    alpha, beta = 1.0 - r, r
-    gamma = r ** (-np.log(r))
-
-    # Distance preference (Eq. 1-2) on the edge latencies.
-    d = np.maximum(latency[positions], utility_config.min_distance_ms)
-    d_max = np.maximum.reduceat(d, seg_starts)
-    dn = d / d_max[seg]
-    dp = 1.0 / dn - alpha[seg]
-    dp = dp / np.add.reduceat(dp, seg_starts)[seg]
-    # Capacity preference (Eq. 3).
-    cp = np.maximum(neighbor_caps - beta[seg], 1e-12)
-    cp = cp / np.add.reduceat(cp, seg_starts)[seg]
-    preference = gamma[seg] * cp + (1.0 - gamma[seg]) * dp
-    preference = preference / np.add.reduceat(
-        preference, seg_starts)[seg]
-
-    # Efraimidis-Spirakis keys; per-segment top-fanout selection.
-    draws = rng.random(preference.shape[0])
-    keys = np.log(draws) / preference
-    fanout = np.maximum(
-        config.ssa_min_fanout,
-        np.rint(config.ssa_fanout_fraction * seg_counts).astype(np.int64))
-    fanout = np.minimum(fanout, seg_counts)
-    order = np.lexsort((-keys, seg))
-    rank = np.arange(order.shape[0], dtype=np.int64) - seg_starts[seg]
-    picked = positions[order[rank < fanout[seg]]]
-    allowed[picked] = True
-
-
-# ----------------------------------------------------------------------
-# Subscription and tree kernels
-# ----------------------------------------------------------------------
-def climb_subscriptions(flood: FloodResult, members: np.ndarray,
-                        max_rounds: int | None = None
+def climb_subscriptions(flood: FloodResult, members: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Graft informed members' reverse paths onto the tree.
 
-    Vectorized reverse-path subscription: every member that received
-    the advertisement walks its ``upstream`` chain toward the root, one
-    tree level per gather.  Returns ``(on_tree, is_member)`` row masks;
-    the tree's parent array is ``flood.upstream`` restricted to
-    ``on_tree``.  Members that never received the advertisement are
-    left off the tree (see :func:`attach_searchers`).
+    :func:`~repro.core.multigroup.climb_subscriptions_batch` with one
+    group.  Returns ``(on_tree, is_member)`` row masks; the tree's
+    parent array is ``flood.upstream`` restricted to ``on_tree``.
     """
-    n = flood.arrival.shape[0]
     members = np.asarray(members, dtype=np.int64)
-    on_tree = np.zeros(n, dtype=bool)
-    is_member = np.zeros(n, dtype=bool)
-    is_member[members] = True
-    on_tree[flood.root] = True
-    active = members[flood.reached[members]]
-    rounds = max_rounds if max_rounds is not None else n
-    for _ in range(rounds):
-        active = active[~on_tree[active]]
-        if active.size == 0:
-            break
-        on_tree[active] = True
-        parents = flood.upstream[active]
-        active = np.unique(parents[parents >= 0])
-    return on_tree, is_member
-
-
-def climb_subscription_claims(upstream: np.ndarray,
-                              member_rows: np.ndarray,
-                              root: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """First-claimer reverse-path climb over an upstream forest.
-
-    Reproduces the *sequential* reverse-path subscription of the object
-    layer (:func:`repro.groupcast.subscription.subscribe_members`) in a
-    few array passes: processing members in list order, each member
-    walks its ``upstream`` chain toward ``root`` and grafts every node
-    not yet on the tree.  A node is therefore grafted by the first
-    member (lowest list index) whose chain contains it — the minimum
-    member index over each node's subtree of walkers, computed here by
-    min-propagation up the parent pointers.
-
-    Returns ``(claim, hops)``: ``claim[row]`` is the index into
-    ``member_rows`` of the member whose walk grafted the row (-1 for
-    rows on no chain, and for ``root``, which pre-exists on the tree);
-    ``hops[i]`` is the number of rows member ``i`` grafted — exactly
-    its subscription message count in the sequential walk.
-    """
-    n = upstream.shape[0]
-    member_rows = np.asarray(member_rows, dtype=np.int64)
-    big = np.iinfo(np.int64).max
-    order_val = np.full(n, big, dtype=np.int64)
-    orders = np.arange(member_rows.shape[0], dtype=np.int64)
-    np.minimum.at(order_val, member_rows, orders)
-    changed = np.unique(member_rows)
-    # Push each row's best (lowest) claimant index to its parent until
-    # the minima stop moving; iteration count is the deepest chain.
-    for _ in range(n):
-        parents = upstream[changed]
-        valid = parents >= 0
-        if not valid.any():
-            break
-        parents = parents[valid]
-        values = order_val[changed[valid]]
-        before = order_val[parents].copy()
-        np.minimum.at(order_val, parents, values)
-        improved = order_val[parents] < before
-        if not improved.any():
-            break
-        changed = np.unique(parents[improved])
-    claimed = order_val < big
-    if 0 <= root < n:
-        claimed[root] = False
-    claim = np.where(claimed, order_val, -1)
-    hops = np.bincount(order_val[claimed],
-                       minlength=member_rows.shape[0])
-    return claim, hops
+    batch = BatchFloodResult(
+        roots=np.array([flood.root]), arrival=flood.arrival[None],
+        upstream=flood.upstream[None], hops=flood.hops[None])
+    on_tree, is_member = climb_subscriptions_batch(
+        batch, members, np.array([0, members.shape[0]]))
+    return on_tree[0], is_member[0]
 
 
 def attach_searchers(csr: CSRGraph, flood: FloodResult,
                      members: np.ndarray, on_tree: np.ndarray,
-                     search_ttl: int,
-                     alive: np.ndarray | None = None
+                     search_ttl: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ripple-search stand-in for members without the advertisement.
 
@@ -389,8 +133,7 @@ def attach_searchers(csr: CSRGraph, flood: FloodResult,
     if searchers.size == 0:
         return parent, on_tree, searchers
     informed = np.nonzero(flood.reached)[0]
-    hops_to_informed, toward = _bfs_with_parents(
-        csr, informed, alive=alive)
+    hops_to_informed, toward = _bfs_with_parents(csr, informed)
     reachable = searchers[
         (hops_to_informed[searchers] >= 0)
         & (hops_to_informed[searchers] <= search_ttl)]
@@ -421,8 +164,7 @@ def attach_searchers(csr: CSRGraph, flood: FloodResult,
     return parent, on_tree, failed
 
 
-def _bfs_with_parents(csr: CSRGraph, roots: np.ndarray,
-                      alive: np.ndarray | None = None
+def _bfs_with_parents(csr: CSRGraph, roots: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-source BFS returning ``(hops, toward)``.
 
@@ -433,8 +175,6 @@ def _bfs_with_parents(csr: CSRGraph, roots: np.ndarray,
     hops = np.full(n, -1, dtype=np.int64)
     toward = np.full(n, -1, dtype=np.int64)
     roots = np.asarray(roots, dtype=np.int64)
-    if alive is not None:
-        roots = roots[alive[roots]]
     hops[roots] = 0
     frontier = roots
     level = 0
@@ -445,8 +185,6 @@ def _bfs_with_parents(csr: CSRGraph, roots: np.ndarray,
         sources = csr.edge_sources()[positions]
         targets = csr.indices[positions].astype(np.int64)
         mask = hops[targets] < 0
-        if alive is not None:
-            mask &= alive[targets]
         sources, targets = sources[mask], targets[mask]
         if targets.size == 0:
             break
@@ -463,45 +201,16 @@ def _bfs_with_parents(csr: CSRGraph, roots: np.ndarray,
 
 
 def tree_delays(parent: np.ndarray, on_tree: np.ndarray,
-                arrival_latency: np.ndarray | None = None,
-                coords: np.ndarray | None = None,
-                root: int | None = None) -> np.ndarray:
+                coords: np.ndarray, root: int | None = None) -> np.ndarray:
     """Per-row delivery delay through the tree from the root (ms).
 
-    Edge cost is the coordinate distance between child and parent
-    (``coords``) unless explicit per-row upstream latencies are given.
-    Computed one tree level per pass (gather + scatter); off-tree rows
-    get ``inf``.
+    :func:`~repro.core.multigroup.tree_delays_batch` with one group:
+    edge cost is the coordinate distance between child and parent,
+    off-tree rows get ``inf``.
     """
-    n = parent.shape[0]
-    delays = np.full(n, np.inf)
-    if root is None:
-        roots = np.nonzero(on_tree & (parent < 0))[0]
-        if roots.size == 0:
-            return delays
-        root = int(roots[0])
-    delays[root] = 0.0
-    if arrival_latency is None:
-        if coords is None:
-            raise GroupError("need coords or per-row upstream latencies")
-        has_parent = on_tree & (parent >= 0)
-        arrival_latency = np.zeros(n)
-        rows = np.nonzero(has_parent)[0]
-        delta = coords[rows] - coords[parent[rows]]
-        arrival_latency[rows] = np.sqrt((delta * delta).sum(axis=1))
-    pending = on_tree & ~np.isfinite(delays)
-    for _ in range(n):
-        if not pending.any():
-            break
-        rows = np.nonzero(pending)[0]
-        parents = parent[rows]
-        ready = (parents >= 0) & np.isfinite(delays[parents])
-        if not ready.any():
-            break
-        rows = rows[ready]
-        delays[rows] = delays[parent[rows]] + arrival_latency[rows]
-        pending[rows] = False
-    return delays
+    return tree_delays_batch(
+        parent[None], on_tree[None], coords,
+        roots=None if root is None else np.array([root]))[0]
 
 
 def synthetic_power_law_csr(

@@ -181,8 +181,6 @@ class SoAStore:
         self.adjacency = DynamicAdjacency()
         #: Insertion-ordered live table: external peer id -> row index.
         self._live: dict[int, int] = {}
-        #: Full history: every id ever added -> its permanent row.
-        self._row_of: dict[int, int] = {}
         #: Row index -> external peer id (grows with the peer columns).
         self._id_of: list[int] = []
         self.trees: dict[int, TreeArrays] = {}
@@ -204,7 +202,6 @@ class SoAStore:
         adjacency_row = self.adjacency.add_row()
         assert adjacency_row == row
         self._live[peer_id] = row
-        self._row_of[peer_id] = row
         self._id_of.append(peer_id)
         for tree in self.trees.values():
             tree.grow_to(row + 1)
@@ -227,25 +224,9 @@ class SoAStore:
                 f"peer {peer_id} is not in the overlay")
         return row
 
-    def row_of_any(self, peer_id: int) -> int:
-        """Permanent row of any peer ever added, live or departed.
-
-        Protocol artifacts (advertisement receipts, tree parents) keep
-        referring to a departed peer's row; this is the lookup they use.
-        """
-        row = self._row_of.get(peer_id)
-        if row is None:
-            raise PeerNotFoundError(
-                f"peer {peer_id} was never in the overlay")
-        return row
-
     def id_of(self, row: int) -> int:
         """External peer id that owns (or owned) a row."""
         return self._id_of[row]
-
-    def id_table(self) -> list[int]:
-        """Row-indexed external-id table (shared, do not mutate)."""
-        return self._id_of
 
     def ids_of(self, rows: np.ndarray) -> list[int]:
         """External ids of many rows."""

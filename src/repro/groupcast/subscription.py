@@ -89,7 +89,6 @@ def subscribe_members(
     stats: MessageStats | None = None,
     registry: Registry | None = None,
     tracer: Tracer | None = None,
-    walk: str = "auto",
 ) -> tuple[SpanningTree, SubscriptionOutcome]:
     """Subscribe ``members`` and return the resulting spanning tree.
 
@@ -99,34 +98,12 @@ def subscribe_members(
     subscription hops, search joins as the ripple flood, the search
     response riding the winning probe, and the subscription chain riding
     the response.
-
-    ``walk`` selects the reverse-path implementation.  ``"auto"`` (the
-    default) routes the joins through the array climb kernel
-    (:func:`repro.core.protocol.climb_subscription_claims`) whenever the
-    overlay is array-backed (:class:`~repro.core.overlay_view.
-    SoAOverlayNetwork`), span tracing is off and no member needs a
-    ripple search — producing the identical tree, records and counters
-    without any per-hop Python walk.  ``"procedural"`` forces the
-    seed-scale reference walk below; ``"kernel"`` requires the kernel
-    path and raises if it cannot apply.
     """
-    if walk not in ("auto", "procedural", "kernel"):
-        raise SubscriptionError(f"unknown walk mode {walk!r}")
     config = config or AnnouncementConfig()
     stats = stats or MessageStats()
     registry = registry if registry is not None else get_default_registry()
     tracer = tracer if tracer is not None else get_default_tracer()
     tracing = tracer is not None and tracer.spans
-
-    if walk != "procedural" and not tracing:
-        kernel = _subscribe_members_kernel(
-            overlay, advertisement, members, stats, registry)
-        if kernel is not None:
-            return kernel
-    if walk == "kernel":
-        raise SubscriptionError(
-            "kernel walk needs an SoA-backed overlay, tracing off and "
-            "no member requiring a ripple search")
     c_subscription = registry.counter(
         f"messages.{MessageKind.SUBSCRIPTION.value}")
     c_search = registry.counter(
@@ -221,111 +198,6 @@ def subscribe_members(
         records=records,
         failed=tuple(failed),
         search_messages=total_search,
-        subscription_messages=total_subscription,
-    )
-    return tree, outcome
-
-
-def _subscribe_members_kernel(
-    overlay: OverlayNetwork,
-    advertisement: AdvertisementOutcome,
-    members: Sequence[int],
-    stats: MessageStats,
-    registry: Registry,
-) -> tuple[SpanningTree, SubscriptionOutcome] | None:
-    """Array-kernel reverse-path subscription for SoA-backed overlays.
-
-    Applicable when every member either fails outright (not in the
-    overlay), is the rendezvous, or holds the advertisement — i.e. no
-    ripple search is needed.  Returns None when it does not apply.
-    The result — tree structure, membership, per-member records,
-    counter increments and their order — is exactly the sequential
-    walk's: the claims kernel computes which member's walk grafts each
-    row (see :func:`repro.core.protocol.climb_subscription_claims`),
-    replacing the per-member chain walks with a handful of array
-    passes over the receipt forest.
-    """
-    from ..core.overlay_view import SoAOverlayNetwork
-    from ..core.protocol import climb_subscription_claims
-    from ..core.store import TreeArrays
-
-    if not isinstance(overlay, SoAOverlayNetwork):
-        return None
-    rendezvous = advertisement.rendezvous
-    receipts = advertisement.receipts
-    #: (member, kind) per list entry; kind: 0 failed, 1 rendezvous,
-    #: 2 reverse-path join.
-    entries: list[tuple[int, int]] = []
-    for member in members:
-        if member not in overlay:
-            entries.append((member, 0))
-        elif member == rendezvous:
-            entries.append((member, 1))
-        elif member in receipts:
-            entries.append((member, 2))
-        else:
-            return None  # needs a ripple search — procedural reference
-
-    store = overlay.store
-    n = store.row_count
-    import numpy as np
-
-    upstream = np.full(n, -1, dtype=np.int64)
-    row_of = store.row_of_any
-    for peer, receipt in receipts.items():
-        if receipt.upstream is not None:
-            upstream[row_of(peer)] = row_of(receipt.upstream)
-    root_row = row_of(rendezvous)
-    joiner_rows = np.fromiter(
-        (row_of(member) for member, kind in entries if kind == 2),
-        dtype=np.int64)
-    claim, hops = climb_subscription_claims(upstream, joiner_rows,
-                                            root_row)
-
-    arrays = TreeArrays(n, root=root_row)
-    grafted = np.nonzero(claim >= 0)[0]
-    arrays.parent[grafted] = upstream[grafted]
-    arrays.on_tree[grafted] = True
-    arrays.is_member[joiner_rows] = True
-    arrays.has_ad[grafted] = True
-    tree = SpanningTree.from_arrays(arrays, store.id_table())
-
-    # Touch the same registry metrics as the walk (including the ones
-    # this path never increments) so registry snapshots stay identical.
-    c_subscription = registry.counter(
-        f"messages.{MessageKind.SUBSCRIPTION.value}")
-    registry.counter(f"messages.{MessageKind.SUBSCRIPTION_SEARCH.value}")
-    registry.counter(f"messages.{MessageKind.SEARCH_RESPONSE.value}")
-    c_failures = registry.counter("subscription.failures")
-    registry.histogram("lookup.latency_ms")
-    # Replay the per-member record/counter sequence in list order so
-    # totals and histogram states match the walk exactly.
-    records: dict[int, SubscriptionRecord] = {}
-    failed: list[int] = []
-    total_subscription = 0
-    joiner_index = 0
-    for member, kind in entries:
-        if kind == 0:
-            failed.append(member)
-            c_failures.inc()
-            continue
-        if kind == 1:
-            records[member] = SubscriptionRecord(member, False, 0.0, 0, 0)
-            continue
-        member_hops = int(hops[joiner_index])
-        joiner_index += 1
-        stats.record(MessageKind.SUBSCRIPTION, member_hops)
-        c_subscription.inc(member_hops)
-        total_subscription += member_hops
-        records[member] = SubscriptionRecord(
-            member, False, 0.0, 0, member_hops)
-
-    tree.validate()
-    outcome = SubscriptionOutcome(
-        group_id=advertisement.group_id,
-        records=records,
-        failed=tuple(failed),
-        search_messages=0,
         subscription_messages=total_subscription,
     )
     return tree, outcome

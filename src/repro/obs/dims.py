@@ -1,8 +1,8 @@
 """Dimensional telemetry primitives: log-scale quantile sketches and
 dense group-indexed metric columns.
 
-The multigroup batch core (``repro.core.multigroup``) relaxes thousands
-of groups per epoch; per-tenant reporting over that path cannot afford
+The protocol kernels (``repro.core.multigroup``) relax thousands of
+groups per epoch; per-tenant reporting over that path cannot afford
 one Python instrument per peer-group.  This module provides the two
 representations the dimensional layer is built on:
 

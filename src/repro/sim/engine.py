@@ -15,7 +15,7 @@ underlay latency between the two endpoints.
 For scale runs the loop can also be driven one virtual-time *epoch* at a
 time (:meth:`Simulator.run_epoch`): all events inside a fixed-width time
 bucket dispatch in one call, letting callers interleave vectorized array
-work (:mod:`repro.core.protocol`) between buckets without per-event
+work (:mod:`repro.core.multigroup`) between buckets without per-event
 Python hooks.  Within an epoch the dispatch order is untouched, so trace
 digests are identical either way.
 """
@@ -216,9 +216,9 @@ class Simulator:
         never the dispatch order, so trace digests are unaffected.
 
         Returns ``(epoch_start, events_fired)``, or None if the heap is
-        drained.  This is the engine half of the scale core's batched
+        drained.  This is the engine half of the array core's batched
         dispatch: callers interleave vectorized per-epoch array work
-        (:mod:`repro.core.protocol`) between epochs instead of hooking
+        (:mod:`repro.core.multigroup`) between epochs instead of hooking
         every event.
         """
         if epoch_ms <= 0.0:

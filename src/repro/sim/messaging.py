@@ -141,8 +141,8 @@ class MessageNetwork:
         ``csr`` is a :class:`~repro.core.arrays.CSRGraph` whose row ``i``
         is the peer ``ids[i]``; the result aligns with ``csr.indices``
         and prices every overlay hop with this network's ``latency_fn``,
-        so a vectorized flood (:func:`repro.core.protocol.
-        flood_advertisement`) sees exactly the transit times the
+        so a vectorized flood (:func:`repro.core.multigroup.
+        flood_advertisements_batch`) sees exactly the transit times the
         event-driven transport would apply.  With a bulk latency
         callable available the whole edge set prices in one routing-core
         matrix gather (bit-for-bit with the scalar calls); otherwise

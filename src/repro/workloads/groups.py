@@ -8,8 +8,8 @@ near a random epicentre in coordinate space, modelling regional
 communities).  Within a group, :class:`MembershipChurn` generates timed
 join/leave events around the initial roster.
 
-The Zipf sampler and :func:`sample_group_rows` feed the multi-group
-batch core (:mod:`repro.core.multigroup`): thousands of heavy-tailed
+The Zipf sampler and :func:`sample_group_rows` feed the group-major
+kernels (:mod:`repro.core.multigroup`): thousands of heavy-tailed
 group rosters over one shared row space, reproducible bit-for-bit from
 one seed on every supported numpy version.
 """

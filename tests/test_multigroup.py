@@ -3,29 +3,33 @@
 Pins the contracts the batched kernels and the sharded executor are
 built on (``repro.core.multigroup`` / ``repro.core.parallel``):
 
-* every per-group output row of a batched pass is **bit-identical** to
-  the single-group kernel run on that group alone (NSSA and SSA);
-* results are independent of batch composition — slicing the group set
-  and merging in group order reproduces the full batch exactly;
+* results are independent of batch composition — one batch, a loop of
+  one-group batches and any slicing merged in group order agree digest
+  for digest (NSSA and SSA);
 * the sharded executor produces identical merged metrics and digests
   for every ``shards``/``jobs`` combination, including the inline path;
-* the kernel-backed ``subscribe_members`` walk and the bulk
-  ``edge_latencies`` gather match their procedural references exactly.
+* the climb kernel builds the tree the procedural ``subscribe_members``
+  walk builds, and the bulk ``edge_latencies`` gather matches the
+  per-edge loop.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.core
 from repro.config import AnnouncementConfig
 from repro.core import (
-    GroupBatch,
+    BatchFloodResult,
     SoAOverlayNetwork,
-    climb_subscriptions,
     climb_subscriptions_batch,
     edge_latencies_from_coords,
-    flood_advertisement,
     flood_advertisements_batch,
     pack_members,
     run_group_pass,
@@ -34,11 +38,8 @@ from repro.core import (
     merge_results,
     shard_bounds,
     synthetic_power_law_csr,
-    tree_delays,
-    tree_delays_batch,
 )
-from repro.core.store import TreeArrays
-from repro.errors import GroupError, SubscriptionError
+from repro.errors import GroupError
 from repro.groupcast.advertisement import propagate_advertisement
 from repro.groupcast.subscription import subscribe_members
 from repro.obs.registry import Registry
@@ -48,6 +49,7 @@ from repro.sim.messaging import MessageNetwork
 from repro.sim.random import spawn_rng
 from repro.workloads.groups import sample_group_rows
 
+SRC = Path(repro.core.__file__).resolve().parents[2]
 SEED = 7
 N = 400
 GROUPS = 24
@@ -75,7 +77,7 @@ def _pass_kwargs(world, scheme):
 
 
 # ----------------------------------------------------------------------
-# Batched kernels vs the per-group single-kernel loop
+# One batch vs a loop of one-group batches
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", ["nssa", "ssa"])
 def test_batched_pass_matches_per_group_loop(world, scheme):
@@ -84,45 +86,6 @@ def test_batched_pass_matches_per_group_loop(world, scheme):
     loop = run_group_pass_loop(*args, **kwargs)
     assert np.array_equal(batched.digests, loop.digests)
     assert batched.metrics() == loop.metrics()
-
-
-@pytest.mark.parametrize("scheme", ["nssa", "ssa"])
-def test_flood_rows_bit_identical_to_single_group(world, scheme):
-    csr, coords, latency, capacities, roots, member_rows, indptr = world
-    rngs = None
-    if scheme == "ssa":
-        rngs = [spawn_rng(SEED, "multigroup", g) for g in range(GROUPS)]
-    batch = flood_advertisements_batch(
-        csr, latency, roots, TTL, scheme, capacities=capacities,
-        rngs=rngs)
-    for g in range(GROUPS):
-        rng = spawn_rng(SEED, "multigroup", g) if scheme == "ssa" else None
-        single = flood_advertisement(
-            csr, latency, int(roots[g]), TTL, scheme,
-            capacities=capacities if scheme == "ssa" else None, rng=rng)
-        assert np.array_equal(batch.arrival[g], single.arrival)
-        assert np.array_equal(batch.upstream[g], single.upstream)
-        assert np.array_equal(batch.hops[g], single.hops)
-
-
-def test_climb_and_delays_rows_match_single_group(world):
-    csr, coords, latency, capacities, roots, member_rows, indptr = world
-    flood = flood_advertisements_batch(csr, latency, roots, TTL)
-    on_tree, is_member = climb_subscriptions_batch(
-        flood, member_rows, indptr)
-    parent = np.where(on_tree, flood.upstream, -1)
-    delays = tree_delays_batch(parent, on_tree, coords=coords,
-                               roots=roots)
-    for g in range(GROUPS):
-        single = flood_advertisement(csr, latency, int(roots[g]), TTL)
-        members = member_rows[indptr[g]:indptr[g + 1]]
-        tree_mask, member_mask = climb_subscriptions(single, members)
-        assert np.array_equal(on_tree[g], tree_mask)
-        assert np.array_equal(is_member[g], member_mask)
-        single_delays = tree_delays(
-            np.where(tree_mask, single.upstream, -1), tree_mask,
-            coords=coords, root=int(roots[g]))
-        assert np.array_equal(delays[g], single_delays)
 
 
 def test_batch_composition_invariance(world):
@@ -173,32 +136,6 @@ def test_shard_bounds_cover_and_balance():
         shard_bounds(0, 4)
 
 
-# ----------------------------------------------------------------------
-# GroupBatch stacking round-trip
-# ----------------------------------------------------------------------
-def test_group_batch_round_trip(world):
-    csr, coords, latency, capacities, roots, member_rows, indptr = world
-    trees = []
-    rng = spawn_rng(SEED, "batch-trees")
-    for g in range(4):
-        tree = TreeArrays(N, root=int(roots[g]))
-        rows = rng.choice(N, size=16, replace=False)
-        rows = rows[rows != roots[g]]
-        tree.parent[rows] = roots[g]
-        tree.on_tree[rows] = True
-        tree.is_member[rows[: 8]] = True
-        trees.append(tree)
-    batch = GroupBatch.from_trees(trees)
-    assert batch.n_groups == 4 and batch.rows == N
-    assert batch.nbytes() > 0
-    for original, rebuilt in zip(trees, batch.to_trees()):
-        assert rebuilt.root == original.root
-        assert np.array_equal(rebuilt.parent, original.parent)
-        assert np.array_equal(rebuilt.on_tree, original.on_tree)
-        assert np.array_equal(rebuilt.is_member, original.is_member)
-        assert np.array_equal(rebuilt.has_ad, original.has_ad)
-
-
 def test_pack_members_ragged():
     rows, indptr = pack_members(
         [np.array([3, 1]), np.array([], dtype=np.int64), np.array([7])])
@@ -206,8 +143,20 @@ def test_pack_members_ragged():
     assert np.array_equal(indptr, [0, 2, 2, 3])
 
 
+@pytest.mark.parametrize("rows, indptr", [
+    ([5, -1, 7], [0, 1, 3]),       # -1 in group 1 is group 0's last row
+    ([5, N, 7], [0, 1, 3]),
+    ([5, 6, 7], [0, 1, 2]),        # indptr stops short of the rows
+], ids=["negative", "too-large", "short-indptr"])
+def test_climb_rejects_bad_member_rows(world, rows, indptr):
+    csr, coords, latency, capacities, roots, member_rows, _ = world
+    flood = flood_advertisements_batch(csr, latency, roots[:2], TTL)
+    with pytest.raises(GroupError):
+        climb_subscriptions_batch(flood, np.array(rows), np.array(indptr))
+
+
 # ----------------------------------------------------------------------
-# Kernel-backed subscribe_members vs the procedural walk
+# Climb kernel vs the procedural subscribe_members walk
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", ["nssa", "ssa"])
 def test_subscription_kernel_matches_procedural(groupcast_deployment,
@@ -215,58 +164,57 @@ def test_subscription_kernel_matches_procedural(groupcast_deployment,
     deployment = groupcast_deployment
     view = SoAOverlayNetwork.from_overlay(deployment.overlay)
     ids = view.peer_ids()
-    advertisement = propagate_advertisement(
-        view, ids[3], 42, scheme, deployment.peer_distance_ms,
-        spawn_rng(SEED, "sub-ad"), AnnouncementConfig(advertisement_ttl=6),
-        deployment.config.utility)
-    holders = [p for p in ids if p in advertisement.receipts][:30]
-    # Holders plus the rendezvous, a missing peer and a duplicate: every
-    # non-search case the walk distinguishes.
-    members = holders + [ids[3], 10 ** 9, holders[0]]
-    outputs = {}
-    for walk in ("procedural", "kernel"):
-        registry, stats = Registry(), MessageStats()
+    row_of = {peer: view.store.row_of(peer) for peer in ids}
+    n = view.store.row_count
+    # Two groups in one batch; every member holds the advertisement.
+    trees, members = [], []
+    arrival = np.full((2, n), np.inf)
+    upstream = np.full((2, n), -1, dtype=np.int64)
+    for g, rendezvous in enumerate((ids[3], ids[40])):
+        advertisement = propagate_advertisement(
+            view, rendezvous, 42 + g, scheme, deployment.peer_distance_ms,
+            spawn_rng(SEED, "sub-ad", g),
+            AnnouncementConfig(advertisement_ttl=6),
+            deployment.config.utility)
+        for peer, receipt in advertisement.receipts.items():
+            arrival[g, row_of[peer]] = receipt.elapsed_ms
+            if receipt.upstream is not None:
+                upstream[g, row_of[peer]] = row_of[receipt.upstream]
+        holders = [p for p in ids if p in advertisement.receipts][:30]
         tree, outcome = subscribe_members(
-            view, advertisement, members, deployment.peer_distance_ms,
-            stats=stats, registry=registry, walk=walk)
-        outputs[walk] = (tree, outcome, registry)
-    tree_p, outcome_p, registry_p = outputs["procedural"]
-    tree_k, outcome_k, registry_k = outputs["kernel"]
-    assert set(tree_p.nodes()) == set(tree_k.nodes())
-    assert tree_p.members == tree_k.members
-    for node in tree_p.nodes():
-        assert tree_p.parent(node) == tree_k.parent(node)
-    assert outcome_p.records == outcome_k.records
-    assert outcome_p.failed == outcome_k.failed
-    assert outcome_p.subscription_messages == outcome_k.subscription_messages
-    assert registry_p.snapshot() == registry_k.snapshot()
+            view, advertisement, holders, deployment.peer_distance_ms,
+            stats=MessageStats(), registry=Registry())
+        assert not outcome.failed
+        trees.append(tree.to_arrays(row_of, rows=n))
+        members.append([row_of[p] for p in holders])
+    flood = BatchFloodResult(
+        roots=np.array([tree.root for tree in trees]), arrival=arrival,
+        upstream=upstream, hops=np.zeros((2, n), dtype=np.int64))
+    on_tree, is_member = climb_subscriptions_batch(
+        flood, *pack_members(members))
+    for g, tree in enumerate(trees):
+        assert np.array_equal(on_tree[g], tree.on_tree)
+        assert np.array_equal(np.where(on_tree[g], upstream[g], -1),
+                              tree.parent)
+        # SpanningTree always counts its root as a member.
+        assert np.array_equal(is_member[g] | (np.arange(n) == tree.root),
+                              tree.is_member)
 
 
-def test_subscription_kernel_requires_no_searchers(groupcast_deployment):
-    deployment = groupcast_deployment
-    view = SoAOverlayNetwork.from_overlay(deployment.overlay)
-    ids = view.peer_ids()
-    advertisement = propagate_advertisement(
-        view, ids[3], 7, "nssa", deployment.peer_distance_ms,
-        spawn_rng(SEED, "sub-ad2"), AnnouncementConfig(advertisement_ttl=2),
-        deployment.config.utility)
-    searcher = next(p for p in ids
-                    if p not in advertisement.receipts and p != ids[3])
-    # auto silently falls back to the procedural walk...
-    tree, outcome = subscribe_members(
-        view, advertisement, [searcher], deployment.peer_distance_ms,
-        stats=MessageStats(), registry=Registry())
-    assert searcher in outcome.failed or (
-        outcome.records[searcher].via_search)
-    # ...while an explicit kernel request refuses.
-    with pytest.raises(SubscriptionError):
-        subscribe_members(
-            view, advertisement, [searcher], deployment.peer_distance_ms,
-            stats=MessageStats(), registry=Registry(), walk="kernel")
-    with pytest.raises(SubscriptionError):
-        subscribe_members(
-            view, advertisement, [searcher], deployment.peer_distance_ms,
-            walk="bogus")
+# ----------------------------------------------------------------------
+# Package surface
+# ----------------------------------------------------------------------
+def test_core_exports_resolve():
+    for name in repro.core.__all__:
+        assert hasattr(repro.core, name), name
+
+
+@pytest.mark.parametrize("module", ["repro.core.protocol",
+                                    "repro.core.multigroup"])
+def test_kernel_modules_import_first(module):
+    """Either kernel module imports in a fresh interpreter (no cycle)."""
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,11 @@ import numpy as np
 import pytest
 
 from repro.config import AnnouncementConfig, GroupCastConfig
-from repro.core import SoAOverlayNetwork, flood_advertisement
+from repro.core import (
+    SoAOverlayNetwork,
+    flood_advertisement,
+    flood_advertisements_batch,
+)
 from repro.deployment import Deployment, build_deployment
 from repro.experiments.resilience import (
     POLICIES,
@@ -264,28 +268,29 @@ def _exact_edge_latencies(csr, store, deployment: Deployment):
 @pytest.mark.parametrize("ttl", [2, 4, 7])
 def test_vectorized_nssa_flood_matches_heap_simulation(
         groupcast_deployment, ttl):
+    """Every row of one batched flood equals its own heap simulation."""
     deployment = groupcast_deployment
     overlay = deployment.overlay
-    rendezvous = overlay.peer_ids()[5]
-    outcome = propagate_advertisement(
-        overlay, rendezvous, GROUP, "nssa", deployment.peer_distance_ms,
-        spawn_rng(SEED, "flood"),
-        config=AnnouncementConfig(advertisement_ttl=ttl))
-
+    rendezvous = [overlay.peer_ids()[i] for i in (5, 60, 200)]
     view = _view(deployment)
     csr, store = view.csr(), view.store
     latency = _exact_edge_latencies(csr, store, deployment)
-    flood = flood_advertisement(csr, latency,
-                                root=store.row_of(rendezvous), ttl=ttl)
+    flood = flood_advertisements_batch(
+        csr, latency, np.array([store.row_of(r) for r in rendezvous]), ttl)
 
-    assert flood.receipt_count() == len(outcome.receipts)
-    for peer, receipt in outcome.receipts.items():
-        row = store.row_of(peer)
-        assert flood.arrival[row] == receipt.elapsed_ms
-        assert flood.hops[row] == receipt.hops
-        upstream = (None if flood.upstream[row] < 0
-                    else store.id_of(int(flood.upstream[row])))
-        assert upstream == receipt.upstream
+    for g, root in enumerate(rendezvous):
+        outcome = propagate_advertisement(
+            overlay, root, GROUP, "nssa", deployment.peer_distance_ms,
+            spawn_rng(SEED, "flood"),
+            config=AnnouncementConfig(advertisement_ttl=ttl))
+        assert flood.receipt_counts()[g] == len(outcome.receipts)
+        for peer, receipt in outcome.receipts.items():
+            row = store.row_of(peer)
+            assert flood.arrival[g, row] == receipt.elapsed_ms
+            assert flood.hops[g, row] == receipt.hops
+            upstream = (None if flood.upstream[g, row] < 0
+                        else store.id_of(int(flood.upstream[g, row])))
+            assert upstream == receipt.upstream
 
 
 def test_vectorized_ssa_flood_is_deterministic(groupcast_deployment):
