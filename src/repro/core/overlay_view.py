@@ -20,7 +20,7 @@ set order and the pooled adjacency preserves it under removals.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +93,15 @@ class SoAOverlayNetwork:
             self._infos[row] = info
         return info
 
+    def peer_columns(
+        self, peer_ids: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gather ``(capacity[k], coords[k, d])`` for ``k`` live peers."""
+        peers, row_of = self.store.peers, self.store.row_of
+        rows = np.asarray([row_of(peer_id) for peer_id in peer_ids],
+                          dtype=np.intp)
+        return peers.capacity[rows], peers.coords[rows]
+
     def __contains__(self, peer_id: int) -> bool:
         return peer_id in self.store
 
@@ -133,6 +142,10 @@ class SoAOverlayNetwork:
         """Neighbor ids of a peer (copy; safe to mutate)."""
         rows = self.store.neighbor_rows(peer_id)
         return self.store.ids_of(rows)
+
+    def iter_neighbors(self, peer_id: int) -> Iterator[int]:
+        """Iterate a peer's neighbor ids, in :meth:`neighbors` order."""
+        return iter(self.neighbors(peer_id))
 
     def degree(self, peer_id: int) -> int:
         """Number of overlay links of a peer."""

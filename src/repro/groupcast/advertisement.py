@@ -41,6 +41,7 @@ from ..obs.tracer import (
 )
 from ..overlay.graph import OverlayNetwork
 from ..overlay.messages import MessageKind, MessageStats
+from ..peers.peer import coordinate_distances
 from ..sim.random import RandomSource, weighted_sample_without_replacement
 from ..utility.preference import (
     capacity_preference,
@@ -246,11 +247,9 @@ def _forwarding_targets(
         picks = rng.choice(len(neighbors), size=fanout, replace=False)
         return [neighbors[int(i)] for i in picks]
 
-    infos = [overlay.peer(n) for n in neighbors]
     me = overlay.peer(peer_id)
-    capacities = np.asarray([info.capacity for info in infos], dtype=float)
-    distances = np.asarray(
-        [me.coordinate_distance(info) for info in infos], dtype=float)
+    capacities, coords = overlay.peer_columns(neighbors)
+    distances = coordinate_distances(coords, me.coordinate)
     resource_level = estimate_resource_level(
         me.capacity, capacities, utility_config)
     if config.ssa_strategy == "distance":

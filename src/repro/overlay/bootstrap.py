@@ -17,6 +17,11 @@ A joining peer ``p_i``:
    probability ``PB`` (Section 3.3) or, failing that, with the fallback
    probability ``p_b = 0.5``.
 
+Steps 3-5 compute on gathered peer columns (``overlay.peer_columns``): one
+distance-kernel call and one preference vector per join, and ``PB`` for a
+chunk of the ranking at once — a join only adds links at the joiner, so no
+candidate's neighbor set changes while the ranking is walked in rng order.
+
 Modelling note: the paper distinguishes forwarding (out) edges from back
 links (in edges).  We model the overlay as an undirected graph, and fold
 the back-link rule into link *establishment*: a selected link materialises
@@ -29,20 +34,29 @@ adjacency.  Refusals and their message costs are still accounted.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ..config import OverlayConfig, UtilityConfig
-from ..peers.peer import PeerInfo
+from ..peers.peer import PeerInfo, coordinate_distances
 from ..sim.random import RandomSource, weighted_sample_without_replacement
-from ..utility.backlink import back_link_acceptance_probability
+from ..utility.backlink import back_link_acceptance_probabilities
 from ..utility.preference import selection_preference
 from ..utility.resource_level import estimate_resource_level
 from .graph import OverlayNetwork
 from .hostcache import HostCacheServer
 from .messages import MessageKind, MessageStats
+
+
+class _Candidates(NamedTuple):
+    """The candidate list ``LC_i`` as ids plus gathered columns."""
+
+    ids: list[int]
+    frequencies: np.ndarray
+    capacities: np.ndarray
+    coords: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,29 +98,26 @@ class UtilityBootstrap:
     # ------------------------------------------------------------------
     def join(self, info: PeerInfo) -> JoinResult:
         """Run the full join protocol for ``info`` and wire it in."""
-        cfg = self.overlay_config
         self.overlay.add_peer(info)
 
-        self.stats.record(MessageKind.HOSTCACHE_QUERY)
-        bootstrap_list = self.host_cache.bootstrap_candidates(
-            info, self.rng, cfg.bootstrap_list_size)
-        self.stats.record(MessageKind.HOSTCACHE_REPLY)
+        bootstrap_list = self._query_host_cache(info)
         self.host_cache.register(info)
 
         if not bootstrap_list:
             # First peer in the network: nothing to connect to yet.
             return JoinResult(info.peer_id, (), (), 0, 0.5, 0)
 
-        candidates, frequencies = self._probe(info, bootstrap_list)
-        resource_level = self._estimate_resource_level(info, candidates)
-        target = cfg.target_degree(info.capacity)
+        candidates = self._probe(info, bootstrap_list)
+        resource_level = self._estimate_resource_level(
+            info, candidates.capacities)
+        target = self.overlay_config.target_degree(info.capacity)
         connected, refused = self._select_and_connect(
-            info, candidates, frequencies, resource_level, target)
+            info, candidates, resource_level, target)
         return JoinResult(
             peer_id=info.peer_id,
             connected=tuple(connected),
             refused=tuple(refused),
-            candidates_seen=len(candidates),
+            candidates_seen=len(candidates.ids),
             resource_level=resource_level,
             target_degree=target,
         )
@@ -120,123 +131,153 @@ class UtilityBootstrap:
         """
         if needed <= 0:
             return []
+        bootstrap_list = self._query_host_cache(info)
+        if not bootstrap_list:
+            return []
+        candidates = self._probe(info, bootstrap_list)
+        fresh = self._askable(info, candidates.ids,
+                              range(len(candidates.ids)))
+        if not fresh:
+            return []
+        candidates = _Candidates(
+            [candidates.ids[i] for i in fresh], candidates.frequencies[fresh],
+            candidates.capacities[fresh], candidates.coords[fresh])
+        resource_level = self._estimate_resource_level(
+            info, candidates.capacities)
+        connected, _ = self._select_and_connect(
+            info, candidates, resource_level, needed)
+        return connected
+
+    # ------------------------------------------------------------------
+    def _query_host_cache(self, info: PeerInfo) -> list[PeerInfo]:
         self.stats.record(MessageKind.HOSTCACHE_QUERY)
         bootstrap_list = self.host_cache.bootstrap_candidates(
             info, self.rng, self.overlay_config.bootstrap_list_size)
         self.stats.record(MessageKind.HOSTCACHE_REPLY)
-        if not bootstrap_list:
-            return []
-        candidates, frequencies = self._probe(info, bootstrap_list)
-        fresh = [(c, f) for c, f in zip(candidates, frequencies)
-                 if c.peer_id in self.overlay
-                 and not self.overlay.has_link(info.peer_id, c.peer_id)]
-        if not fresh:
-            return []
-        candidates = [c for c, _ in fresh]
-        frequencies = np.asarray([f for _, f in fresh], dtype=float)
-        resource_level = self._estimate_resource_level(info, candidates)
-        connected, _ = self._select_and_connect(
-            info, candidates, frequencies, resource_level, needed)
-        return connected
+        return bootstrap_list
 
-    # ------------------------------------------------------------------
-    def _probe(
-        self, info: PeerInfo, bootstrap_list: list[PeerInfo]
-    ) -> tuple[list[PeerInfo], np.ndarray]:
-        """Probe bootstrap peers; return candidates and their frequencies.
+    def _probe(self, info: PeerInfo,
+               bootstrap_list: list[PeerInfo]) -> _Candidates:
+        """Probe bootstrap peers; return the candidate view ``LC_i``.
 
         Bootstrap peers themselves join the candidate list with one base
         occurrence — they are directly known to the joiner — plus any
-        appearances in other peers' neighbor lists.
+        appearances in other peers' neighbor lists.  Candidates keep
+        first-sighting order.
         """
-        occurrences: Counter[int] = Counter()
-        known: dict[int, PeerInfo] = {}
+        overlay = self.overlay
+        occurrences: dict[int, int] = {}
+        # Entries the host cache still lists but the overlay no longer
+        # holds answer no probe; the cached quadruplet stands in.
+        stale: dict[int, PeerInfo] = {}
         for bootstrap_peer in bootstrap_list:
-            self.stats.record(MessageKind.PROBE)
-            self.stats.record(MessageKind.PROBE_RESPONSE)
-            occurrences[bootstrap_peer.peer_id] += 1
-            known[bootstrap_peer.peer_id] = bootstrap_peer
-            if bootstrap_peer.peer_id not in self.overlay:
+            peer_id = bootstrap_peer.peer_id
+            occurrences[peer_id] = occurrences.get(peer_id, 0) + 1
+            if peer_id not in overlay:
+                stale[peer_id] = bootstrap_peer
                 continue
-            for neighbor_id in self.overlay.neighbors(bootstrap_peer.peer_id):
-                if neighbor_id == info.peer_id:
-                    continue
-                occurrences[neighbor_id] += 1
-                if neighbor_id not in known:
-                    known[neighbor_id] = self.overlay.peer(neighbor_id)
-        candidates = list(known.values())
-        frequencies = np.asarray(
-            [occurrences[c.peer_id] for c in candidates], dtype=float)
-        return candidates, frequencies
+            for neighbor in overlay.iter_neighbors(peer_id):
+                if neighbor != info.peer_id:
+                    occurrences[neighbor] = occurrences.get(neighbor, 0) + 1
+        self.stats.record(MessageKind.PROBE, len(bootstrap_list))
+        self.stats.record(MessageKind.PROBE_RESPONSE, len(bootstrap_list))
+        ids = list(occurrences)
+        frequencies = np.fromiter(
+            occurrences.values(), dtype=float, count=len(ids))
+        capacities, coords = overlay.peer_columns(
+            [peer_id for peer_id in ids if peer_id not in stale]
+            if stale else ids)
+        for at in sorted(map(ids.index, stale)):
+            capacities = np.insert(capacities, at, stale[ids[at]].capacity)
+            coords = np.insert(
+                coords, at, stale[ids[at]].coordinate, axis=0)
+        return _Candidates(ids, frequencies, capacities, coords)
 
     def _estimate_resource_level(self, info: PeerInfo,
-                                 candidates: list[PeerInfo]) -> float:
+                                 capacities: np.ndarray) -> float:
         cfg = self.overlay_config
-        capacities = [c.capacity for c in candidates]
         if len(capacities) > cfg.resource_level_sample_size:
-            picks = self.rng.choice(
+            capacities = capacities[self.rng.choice(
                 len(capacities), size=cfg.resource_level_sample_size,
-                replace=False)
-            capacities = [capacities[int(i)] for i in picks]
+                replace=False)]
         return estimate_resource_level(
             info.capacity, capacities, self.utility_config)
+
+    def _askable(self, info: PeerInfo, ids: list[int],
+                 indices: Iterable[int]) -> list[int]:
+        """``indices`` of candidates in the overlay, unlinked to ``info``."""
+        overlay = self.overlay
+        linked = set(overlay.iter_neighbors(info.peer_id))
+        return [i for i in indices
+                if ids[i] in overlay and ids[i] not in linked]
 
     def _select_and_connect(
         self,
         info: PeerInfo,
-        candidates: list[PeerInfo],
-        frequencies: np.ndarray,
+        candidates: _Candidates,
         resource_level: float,
         target: int,
     ) -> tuple[list[int], list[int]]:
-        distances = np.asarray(
-            [info.coordinate_distance(c) for c in candidates], dtype=float)
+        ids = candidates.ids
+        distances = coordinate_distances(candidates.coords, info.coordinate)
         preference = selection_preference(
-            frequencies, distances, resource_level, self.utility_config)
+            candidates.frequencies, distances, resource_level,
+            self.utility_config)
         # Rank every candidate by a weighted draw, then walk the ranking
         # until the degree target is met, skipping refusals.
         ranked = weighted_sample_without_replacement(
-            self.rng, candidates, preference, len(candidates))
+            self.rng, range(len(ids)), preference, len(ids))
+        askable = self._askable(info, ids, ranked)
+        fallback_prob = self.overlay_config.back_link_fallback_prob
         connected: list[int] = []
         refused: list[int] = []
-        for candidate in ranked:
-            if len(connected) >= target:
-                break
-            if candidate.peer_id not in self.overlay:
-                continue
-            if self.overlay.has_link(info.peer_id, candidate.peer_id):
-                continue
-            self.stats.record(MessageKind.BACK_CONNECT_REQUEST)
-            if self._back_link_accepted(info, candidate):
-                self.stats.record(MessageKind.BACK_CONNECT_ACK)
-                self.stats.record(MessageKind.CONNECT)
-                self.overlay.add_link(info.peer_id, candidate.peer_id)
-                connected.append(candidate.peer_id)
-            else:
-                refused.append(candidate.peer_id)
-        if not connected and candidates:
+        asked = 0
+        while len(connected) < target and asked < len(askable):
+            # Each asked candidate adds at most one link, so a chunk as
+            # long as the remaining deficit never overshoots the target.
+            chunk = askable[asked:asked + target - len(connected)]
+            asked += len(chunk)
+            accept = self._back_link_probabilities(
+                info, candidates, distances, chunk)
+            for i, probability in zip(chunk, accept):
+                if self.rng.random() < probability \
+                        or self.rng.random() < fallback_prob:
+                    self.overlay.add_link(info.peer_id, ids[i])
+                    connected.append(ids[i])
+                else:
+                    refused.append(ids[i])
+        if asked:
+            self.stats.record(MessageKind.BACK_CONNECT_REQUEST, asked)
+        if connected:
+            self.stats.record(MessageKind.BACK_CONNECT_ACK, len(connected))
+            self.stats.record(MessageKind.CONNECT, len(connected))
+        else:
             # Degenerate fallback: never leave a joiner isolated if anyone
             # is reachable — connect to the top-ranked candidate.
             fallback = next(
-                (c for c in ranked if c.peer_id in self.overlay), None)
+                (ids[i] for i in ranked if ids[i] in self.overlay), None)
             if fallback is not None:
                 self.stats.record(MessageKind.CONNECT)
-                self.overlay.add_link(info.peer_id, fallback.peer_id)
-                connected.append(fallback.peer_id)
+                self.overlay.add_link(info.peer_id, fallback)
+                connected.append(fallback)
         return connected, refused
 
-    def _back_link_accepted(self, info: PeerInfo,
-                            candidate: PeerInfo) -> bool:
-        neighbor_ids = self.overlay.neighbors(candidate.peer_id)
-        neighbor_infos = [self.overlay.peer(n) for n in neighbor_ids]
-        probability = back_link_acceptance_probability(
-            own_capacity=candidate.capacity,
+    def _back_link_probabilities(
+        self, info: PeerInfo, candidates: _Candidates,
+        distances: np.ndarray, asked: list[int],
+    ) -> np.ndarray:
+        """``PB`` of ``info`` at each of the ``asked`` candidates."""
+        neighbors = [self.overlay.neighbors(candidates.ids[i]) for i in asked]
+        counts = [len(ids) for ids in neighbors]
+        neighbor_capacities, neighbor_coords = self.overlay.peer_columns(
+            [peer_id for ids in neighbors for peer_id in ids])
+        return back_link_acceptance_probabilities(
+            own_capacities=candidates.capacities[asked],
             requester_capacity=info.capacity,
-            requester_distance_ms=candidate.coordinate_distance(info),
-            neighbor_capacities=[n.capacity for n in neighbor_infos],
-            neighbor_distances_ms=[
-                candidate.coordinate_distance(n) for n in neighbor_infos],
+            requester_distances_ms=distances[asked],
+            neighbor_counts=counts,
+            neighbor_capacities=neighbor_capacities,
+            neighbor_distances_ms=coordinate_distances(
+                neighbor_coords,
+                np.repeat(candidates.coords[asked], counts, axis=0)),
         )
-        if self.rng.random() < probability:
-            return True
-        return self.rng.random() < self.overlay_config.back_link_fallback_prob

@@ -12,7 +12,7 @@ evaluation (degree distributions, clustering, component structure).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,12 @@ class OverlayNetwork:
         self._peers: dict[int, PeerInfo] = {}
         self._adjacency: dict[int, set[int]] = {}
         self._edge_count = 0
+        # Capacity / coordinate columns: a ``PeerArrays`` sized by the
+        # first peer's coordinate, one row per peer; a departed peer's
+        # row goes to the next joiner so the columns do not grow.
+        self._columns = None
+        self._row_of: dict[int, int] = {}
+        self._free_rows: list[int] = []
 
     # ------------------------------------------------------------------
     # Vertices
@@ -36,6 +42,19 @@ class OverlayNetwork:
         """Insert an isolated peer."""
         if info.peer_id in self._peers:
             raise OverlayError(f"peer {info.peer_id} already present")
+        columns = self._columns
+        if columns is None:
+            from ..core.arrays import PeerArrays
+
+            columns = self._columns = PeerArrays(
+                dims=np.asarray(info.coordinate).size)
+        if self._free_rows:
+            row = self._free_rows.pop()
+            columns.capacity[row] = info.capacity
+            columns.coords[row] = info.coordinate
+        else:
+            row = columns.add(info.capacity, info.coordinate)
+        self._row_of[info.peer_id] = row
         self._peers[info.peer_id] = info
         self._adjacency[info.peer_id] = set()
 
@@ -46,11 +65,28 @@ class OverlayNetwork:
             self.remove_link(peer_id, neighbor)
         del self._adjacency[peer_id]
         del self._peers[peer_id]
+        self._free_rows.append(self._row_of.pop(peer_id))
 
     def peer(self, peer_id: int) -> PeerInfo:
         """Metadata of a peer."""
         self._require(peer_id)
         return self._peers[peer_id]
+
+    def peer_columns(
+        self, peer_ids: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gather ``(capacity[k], coords[k, d])`` copies for ``k`` peers;
+        row ``i`` is ``peer(peer_ids[i])``'s capacity and coordinate."""
+        try:
+            rows = [self._row_of[peer_id] for peer_id in peer_ids]
+        except KeyError as missing:
+            raise PeerNotFoundError(
+                f"peer {missing.args[0]} is not in the overlay") from None
+        columns = self._columns
+        if columns is None:
+            return np.empty(0), np.empty((0, 0))
+        rows = np.asarray(rows, dtype=np.intp)
+        return columns.capacity[rows], columns.coords[rows]
 
     def __contains__(self, peer_id: int) -> bool:
         return peer_id in self._peers

@@ -36,6 +36,10 @@ class HostCacheServer:
         self._coords = np.zeros((max_entries, dimensions), dtype=float)
         self._slot_info: list[PeerInfo | None] = [None] * max_entries
         self._slot_of: dict[int, int] = {}
+        # ``_order[:len(self)]``: the occupied slots in ``_slot_of``
+        # (registration) order, which breaks a query's stable-argsort
+        # ties and is what ``rng.choice`` indexes — so it is protocol.
+        self._order = np.empty(max_entries, dtype=np.int64)
         self._free: list[int] = list(range(max_entries - 1, -1, -1))
 
     def __len__(self) -> int:
@@ -54,17 +58,27 @@ class HostCacheServer:
                 slot = int(self._rng.integers(self.max_entries))
                 evicted = self._slot_info[slot]
                 assert evicted is not None
-                del self._slot_of[evicted.peer_id]
+                self._drop(evicted.peer_id)
+            self._order[len(self._slot_of)] = slot
             self._slot_of[info.peer_id] = slot
         self._slot_info[slot] = info
         self._coords[slot] = info.coordinate
 
     def unregister(self, peer_id: int) -> None:
         """Remove a departed peer (idempotent)."""
-        slot = self._slot_of.pop(peer_id, None)
-        if slot is not None:
+        if peer_id in self._slot_of:
+            slot = self._drop(peer_id)
             self._slot_info[slot] = None
             self._free.append(slot)
+
+    def _drop(self, peer_id: int) -> int:
+        """Forget ``peer_id``; returns the slot it occupied."""
+        slot = self._slot_of.pop(peer_id)
+        order = self._order
+        used = len(self._slot_of) + 1
+        at = int(np.flatnonzero(order[:used] == slot)[0])
+        order[at:used - 1] = order[at + 1:used]
+        return slot
 
     def entries(self) -> list[PeerInfo]:
         """All cached peers (copy)."""
@@ -78,35 +92,29 @@ class HostCacheServer:
     ) -> list[PeerInfo]:
         """Return the bootstrap list ``B_i = BD_i U BR_i`` for a joiner.
 
-        ``BD_i`` holds the ``list_size // 2`` cached peers closest to the
-        joiner in coordinate space; ``BR_i`` holds as many uniformly random
-        ones from the remainder.  Returns fewer peers when the cache is
-        small, and an empty list for the very first peer.
+        ``BD_i`` holds the ``ceil(list_size / 2)`` cached peers closest to
+        the joiner in coordinate space; ``BR_i`` holds ``list_size // 2``
+        uniformly random ones from the remainder.  Returns fewer peers
+        when the cache is small, and an empty list for the very first
+        peer.
         """
         if list_size < 2:
             raise BootstrapError("bootstrap list size must be >= 2")
-        slots = np.asarray(
-            [slot for peer, slot in self._slot_of.items()
-             if peer != joining.peer_id],
-            dtype=np.int64)
+        slots = self._order[:len(self._slot_of)]
+        own = self._slot_of.get(joining.peer_id)
+        if own is not None:
+            slots = slots[slots != own]
         if slots.size == 0:
             return []
         distances = np.linalg.norm(
             self._coords[slots] - joining.coordinate, axis=1)
         order = np.argsort(distances, kind="stable")
         half = list_size // 2
-        closest_slots = slots[order[:half]]
-        rest_slots = slots[order[half:]]
-        picked: list[PeerInfo] = []
-        for slot in closest_slots:
-            info = self._slot_info[int(slot)]
-            assert info is not None
-            picked.append(info)
+        closest_slots = slots[order[:list_size - half]]
+        rest_slots = slots[order[list_size - half:]]
+        picked = closest_slots
         if rest_slots.size > 0:
-            count = min(half, int(rest_slots.size))
-            random_picks = rng.choice(rest_slots, size=count, replace=False)
-            for slot in random_picks:
-                info = self._slot_info[int(slot)]
-                assert info is not None
-                picked.append(info)
-        return picked
+            picked = np.concatenate([closest_slots, rng.choice(
+                rest_slots, size=min(half, int(rest_slots.size)),
+                replace=False)])
+        return [self._slot_info[slot] for slot in picked.tolist()]

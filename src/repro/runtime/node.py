@@ -28,7 +28,9 @@ and forwards everything else to the protocol state machine.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..config import AnnouncementConfig, UtilityConfig
 from ..errors import PeerNotFoundError
@@ -69,6 +71,14 @@ class LocalView:
             raise PeerNotFoundError(
                 f"peer {peer_id} is outside {self.peer_id}'s local view"
             ) from None
+
+    def peer_columns(
+        self, peer_ids: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(capacity[k], coords[k, d])`` of peers inside the view."""
+        infos = [self.peer(peer_id) for peer_id in peer_ids]
+        return (np.asarray([info.capacity for info in infos], dtype=float),
+                np.asarray([info.coordinate for info in infos], dtype=float))
 
     def __contains__(self, peer_id: int) -> bool:
         return peer_id in self._infos

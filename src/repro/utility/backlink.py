@@ -26,6 +26,48 @@ from typing import Sequence
 import numpy as np
 
 
+def back_link_acceptance_probabilities(
+    own_capacities: np.ndarray,
+    requester_capacity: float,
+    requester_distances_ms: np.ndarray,
+    neighbor_counts: np.ndarray,
+    neighbor_capacities: np.ndarray,
+    neighbor_distances_ms: np.ndarray,
+) -> np.ndarray:
+    """``PB`` of one requester at each of ``m`` asked peers, in one pass.
+
+    ``own_capacities[m]`` / ``requester_distances_ms[m]`` describe the
+    asked peers.  Their ragged neighbor sets arrive concatenated: peer
+    ``k`` owns the next ``neighbor_counts[k]`` entries of
+    ``neighbor_capacities`` / ``neighbor_distances_ms`` (measured from
+    peer ``k``).  A peer with no neighbors always accepts — a lonely
+    peer has nothing to protect.
+    """
+    capacities = np.asarray(neighbor_capacities, dtype=float)
+    distances = np.asarray(neighbor_distances_ms, dtype=float)
+    counts = np.asarray(neighbor_counts, dtype=np.int64)
+    if capacities.shape != distances.shape:
+        raise ValueError(
+            "neighbor capacities and distances must have the same length")
+    if counts.sum() != capacities.size:
+        raise ValueError("neighbor counts must add up to the neighbor total")
+    probabilities = np.ones(counts.size)
+    crowded = counts > 0
+    size = counts[crowded]
+    starts = np.cumsum(size) - size
+    own = np.repeat(np.asarray(own_capacities, dtype=float)[crowded], size)
+    away = np.repeat(
+        np.asarray(requester_distances_ms, dtype=float)[crowded], size)
+    # Each ranking is an integer count over the neighbor set size.
+    rc_own, rc_req, rd_req = np.add.reduceat(
+        [capacities <= own, capacities <= requester_capacity,
+         distances >= away],
+        starts, axis=1, dtype=np.int64) / size
+    weight = rc_own * rc_own
+    probabilities[crowded] = weight * rc_req + (1.0 - weight) * rd_req
+    return probabilities
+
+
 def back_link_acceptance_probability(
     own_capacity: float,
     requester_capacity: float,
@@ -33,23 +75,9 @@ def back_link_acceptance_probability(
     neighbor_capacities: Sequence[float],
     neighbor_distances_ms: Sequence[float],
 ) -> float:
-    """Probability that a peer accepts a backward connection request.
-
-    ``neighbor_capacities`` / ``neighbor_distances_ms`` describe the
-    accepting peer's current neighbors (distances measured from the
-    accepting peer).  With no current neighbors the request is always
-    accepted — a lonely peer has nothing to protect.
-    """
-    capacities = np.asarray(neighbor_capacities, dtype=float)
-    distances = np.asarray(neighbor_distances_ms, dtype=float)
-    if capacities.shape != distances.shape:
-        raise ValueError(
-            "neighbor capacities and distances must have the same length")
-    n = capacities.size
-    if n == 0:
-        return 1.0
-    rc_own = float((capacities <= own_capacity).mean())
-    rc_req = float((capacities <= requester_capacity).mean())
-    rd_req = float((distances >= requester_distance_ms).mean())
-    weight = rc_own * rc_own
-    return weight * rc_req + (1.0 - weight) * rd_req
+    """``PB`` at one accepting peer, given its current neighbors'
+    capacities and their distances from it."""
+    return float(back_link_acceptance_probabilities(
+        [own_capacity], requester_capacity, [requester_distance_ms],
+        [len(neighbor_capacities)], neighbor_capacities,
+        neighbor_distances_ms)[0])

@@ -1,15 +1,23 @@
 """Unit tests for the utility-aware join protocol."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.config import OverlayConfig
+from repro.core.overlay_view import SoAOverlayNetwork
+from repro.deployment import build_deployment
 from repro.overlay.bootstrap import UtilityBootstrap
+from repro.overlay.churn import ChurnConfig
 from repro.overlay.graph import OverlayNetwork
 from repro.overlay.hostcache import HostCacheServer
 from repro.overlay.messages import MessageKind, MessageStats
 from repro.peers.peer import PeerInfo
 from repro.sim.random import spawn_rng
+
+from .test_overlay_churn import build_world
 
 
 def make_info(peer_id, capacity=10.0, x=None):
@@ -135,3 +143,86 @@ class TestTopologyShape:
         strong = [degrees[i] for i in range(150) if capacities[i] >= 100.0]
         weak = [degrees[i] for i in range(150) if capacities[i] <= 10.0]
         assert np.mean(strong) > np.mean(weak)
+
+
+# ----------------------------------------------------------------------
+# Same-seed regression.  Every constant below was recorded at the commit
+# *before* join moved onto peer columns (scalar ``PeerInfo`` path), so
+# a pass means identical edge sets, message ledgers and rng consumption.
+# ----------------------------------------------------------------------
+def overlay_digest(overlay, stats, *extra) -> str:
+    edges = sorted([min(a, b), max(a, b)] for a, b in overlay.edges())
+    blob = json.dumps([edges, stats.snapshot(), *extra], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (7, "5dca3163d7163baa3ebb81890cbc50352171bb55e1615c8fa052780c5637aa36"),
+    (11, "bf438b38227127ae687c0280f46c3d10173522e17f63d5086beeaa6e1f2a6d39"),
+    (23, "53249fa3213062fc47b27edaf7542272c1c85e55ec7030b2444a341d1744f449"),
+])
+def test_build_deployment_digest_unchanged(seed, expected):
+    deployment = build_deployment(300, kind="groupcast", seed=seed)
+    assert overlay_digest(deployment.overlay, deployment.stats) == expected
+
+
+def test_churn_world_digest_unchanged():
+    """Joins, graceful leaves, crashes found by heartbeats, evictions
+    from a 64-entry host cache and ``acquire_neighbors`` repair."""
+    simulator, overlay, maintenance, churn = build_world(
+        ChurnConfig(join_interarrival_ms=100.0, mean_lifetime_ms=8_000.0,
+                    crash_fraction=0.5, max_joins=200),
+        seed=5, cache_entries=64)
+    churn.start()
+    simulator.run(until=18_000.0)
+    assert (len(churn.joined), len(churn.crashed), len(churn.departed),
+            len(maintenance.repairs)) == (200, 56, 68, 42)
+    assert overlay_digest(overlay, maintenance.stats) == \
+        "a44a36db808869cd66be3f6337173952946dadaa8e5560605af90f69448e6968"
+
+
+def test_stale_host_cache_entries_digest_unchanged():
+    """Peers that vanish without unregistering stay in the host cache:
+    they still take part in ranking (cached quadruplet) but are never
+    asked.  Covers ``join`` and ``acquire_neighbors`` with such entries."""
+    seed = 3
+    rng = spawn_rng(seed, "infos")
+    infos = [PeerInfo(i, float(rng.choice([1.0, 10.0, 100.0, 1000.0])),
+                      rng.uniform(0.0, 100.0, size=3)) for i in range(120)]
+    overlay = OverlayNetwork()
+    stats = MessageStats()
+    bootstrap = UtilityBootstrap(
+        overlay=overlay,
+        host_cache=HostCacheServer(max_entries=32, dimensions=3,
+                                   rng=spawn_rng(seed, "hc")),
+        rng=spawn_rng(seed, "proto"), stats=stats)
+    outcomes = []
+    for i, info in enumerate(infos):
+        result = bootstrap.join(info)
+        outcomes.append([list(result.connected), list(result.refused),
+                         result.candidates_seen, result.resource_level,
+                         result.target_degree])
+        if i % 5 == 4:
+            overlay.remove_peer(int(rng.choice(overlay.peer_ids())))
+        if i % 7 == 6:
+            peer = overlay.peer(int(rng.choice(overlay.peer_ids())))
+            outcomes.append(bootstrap.acquire_neighbors(peer, 2))
+    assert any(entry.peer_id not in overlay
+               for entry in bootstrap.host_cache.entries())
+    assert overlay_digest(overlay, stats, outcomes) == \
+        "7033b7992c647cdd1934be17b11ad2dd7917af26d0450132d3edb98607bc2f92"
+
+
+def test_joins_run_over_the_array_view():
+    """The array-backed container answers everything a join asks of it
+    (``iter_neighbors``, ``peer_columns``); its neighbor order differs
+    from the set-backed one, so only the outcome's shape is compared."""
+    bootstrap = UtilityBootstrap(
+        overlay=SoAOverlayNetwork(dims=2),
+        host_cache=HostCacheServer(max_entries=64, dimensions=2,
+                                   rng=spawn_rng(0, "hc")),
+        rng=spawn_rng(0, "proto"), stats=MessageStats())
+    results = grow(bootstrap, 60)
+    assert bootstrap.overlay.is_connected()
+    assert all(result.degree >= 1 for result in results[1:])

@@ -16,25 +16,26 @@ from repro.sim.engine import Simulator
 from repro.sim.random import spawn_rng
 
 
-def build_world(churn_config):
+def build_world(churn_config, seed=0, cache_entries=128):
     simulator = Simulator()
     underlay = generate_transit_stub(
         TransitStubConfig(transit_domains=2, transit_routers_per_domain=2,
                           stub_domains_per_transit=2, routers_per_stub=3),
-        spawn_rng(0, "topo"))
+        spawn_rng(seed, "topo"))
     gnp = GNPSystem()
-    gnp.fit_landmarks(underlay, spawn_rng(0, "lm"))
+    gnp.fit_landmarks(underlay, spawn_rng(seed, "lm"))
     space = gnp.make_space()
     overlay = OverlayNetwork()
-    cache = HostCacheServer(max_entries=128, dimensions=space.dimensions,
-                            rng=spawn_rng(0, "hc"))
+    cache = HostCacheServer(max_entries=cache_entries,
+                            dimensions=space.dimensions,
+                            rng=spawn_rng(seed, "hc"))
     stats = MessageStats()
     bootstrap = UtilityBootstrap(
-        overlay=overlay, host_cache=cache, rng=spawn_rng(0, "b"),
+        overlay=overlay, host_cache=cache, rng=spawn_rng(seed, "b"),
         stats=stats)
     maintenance = MaintenanceDaemon(
         simulator=simulator, overlay=overlay, host_cache=cache,
-        bootstrap=bootstrap, rng=spawn_rng(0, "m"),
+        bootstrap=bootstrap, rng=spawn_rng(seed, "m"),
         config=OverlayConfig(heartbeat_interval_ms=1_000.0,
                              epoch_ms=5_000.0, min_epoch_ms=2_000.0,
                              max_epoch_ms=20_000.0),
@@ -42,7 +43,7 @@ def build_world(churn_config):
     churn = ChurnProcess(
         simulator=simulator, underlay=underlay, gnp=gnp, space=space,
         bootstrap=bootstrap, maintenance=maintenance,
-        rng=spawn_rng(0, "churn"), config=churn_config)
+        rng=spawn_rng(seed, "churn"), config=churn_config)
     return simulator, overlay, maintenance, churn
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.peers.capacity import (
@@ -9,7 +11,7 @@ from repro.peers.capacity import (
     CapacityDistribution,
     zipf_capacities,
 )
-from repro.peers.peer import PeerInfo
+from repro.peers.peer import PeerInfo, coordinate_distances
 from repro.sim.random import spawn_rng
 
 
@@ -123,3 +125,37 @@ class TestPeerInfo:
         assert a == b
         assert hash(a) == hash(b)
         assert a != self._info(peer_id=4)
+
+
+class TestDistanceKernel:
+    """``coordinate_distances`` is the one definition of coordinate
+    distance; bootstrap ranking, ``PB`` and SSA forwarding all draw on
+    it, so it has to equal the 1-D ``np.linalg.norm`` to the last bit
+    on whatever numpy the CI matrix installs."""
+
+    @given(d=st.integers(1, 8), k=st.integers(0, 64),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 250.0, 1e6]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_scalar_norm_bit_for_bit(self, d, k, seed, scale):
+        rng = np.random.default_rng(seed)
+        coords = rng.normal(scale=scale, size=(k, d))
+        origin = rng.normal(scale=scale, size=d)
+        origins = rng.normal(scale=scale, size=(k, d))
+        shared = coordinate_distances(coords, origin)
+        per_row = coordinate_distances(coords, origins)
+        assert shared.shape == per_row.shape == (k,)
+        for row in range(k):
+            assert shared[row] == float(
+                np.linalg.norm(coords[row] - origin))
+            assert per_row[row] == float(
+                np.linalg.norm(coords[row] - origins[row]))
+
+    def test_peer_info_distance_is_the_kernel_row(self):
+        rng = np.random.default_rng(5)
+        a = PeerInfo(1, 1.0, rng.normal(scale=100.0, size=5))
+        b = PeerInfo(2, 1.0, rng.normal(scale=100.0, size=5))
+        expected = float(np.linalg.norm(a.coordinate - b.coordinate))
+        assert a.coordinate_distance(b) == expected
+        assert b.coordinate_distance(a) == expected
+        assert isinstance(a.coordinate_distance(b), float)

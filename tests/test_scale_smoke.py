@@ -10,7 +10,9 @@ the differential suite does that at seed scale:
 * resident memory must stay inside the documented bytes/peer budget
   (see ``EXPERIMENTS.md``, *Memory budget* knob);
 * the kernels must keep their structural invariants at this scale
-  (connected flood, all-member trees, finite delays).
+  (connected flood, all-member trees, finite delays);
+* a utility-aware (``kind="groupcast"``) overlay of the same size must
+  build inside the same budget at a per-join cost that does not grow.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from repro.core import (
     tree_delays,
 )
 from repro.core.store import TreeArrays
+from repro.deployment import build_deployment
+from repro.overlay.bootstrap import UtilityBootstrap
+from repro.overlay.graph import OverlayNetwork
+from repro.overlay.hostcache import HostCacheServer
 from repro.sim.random import spawn_rng
 
 pytestmark = pytest.mark.scale
@@ -141,3 +147,38 @@ def test_resident_memory_inside_budget(scale_world):
     assert rss < RSS_BUDGET_BYTES, (
         f"RSS {rss / 1e6:.0f} MB exceeds budget "
         f"{RSS_BUDGET_BYTES / 1e6:.0f} MB")
+
+
+def test_groupcast_build_at_scale():
+    """The paper's own overlay construction at 10^4 peers: inside the
+    budget, connected, nobody linkless — and per-join cost flat in the
+    overlay size, which the bounded host cache is there to guarantee (a
+    per-join O(n) term fails the ratio by an order of magnitude)."""
+    started = time.perf_counter()
+    deployment = build_deployment(SCALE_N, kind="groupcast", seed=7)
+    elapsed = time.perf_counter() - started
+    assert elapsed < WALL_CLOCK_BUDGET_S, (
+        f"10^4-peer GroupCast build took {elapsed:.1f}s "
+        f"(budget {WALL_CLOCK_BUDGET_S:.0f}s)")
+    overlay = deployment.overlay
+    assert overlay.peer_count == SCALE_N
+    assert overlay.is_connected()
+    assert int(overlay.degrees().min()) >= 1
+
+    rejoin = UtilityBootstrap(
+        overlay=OverlayNetwork(),
+        host_cache=HostCacheServer(
+            max_entries=1024, dimensions=deployment.space.dimensions,
+            rng=spawn_rng(7, "hostcache")),
+        rng=spawn_rng(7, "protocol"),
+        overlay_config=deployment.config.overlay,
+        utility_config=deployment.config.utility)
+    walls = []
+    for info in overlay.peers():
+        join_started = time.perf_counter()
+        rejoin.join(info)
+        walls.append(time.perf_counter() - join_started)
+    assert sorted(rejoin.overlay.edges()) == sorted(overlay.edges())
+    early, late = sum(walls[2_000:3_000]), sum(walls[-1_000:])
+    assert late <= 2.0 * early, (
+        f"last 1000 joins took {late:.2f}s, joins 2000-3000 {early:.2f}s")

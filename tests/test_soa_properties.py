@@ -10,19 +10,24 @@ Three invariants pin the scale layer against random churn scripts:
   graph's structure, neighbor order included, under arbitrary mutation
   sequences;
 * **Tree repair** — :meth:`TreeArrays.repair_dangling` terminates with
-  no on-tree row hanging off a dead or detached upstream.
+  no on-tree row hanging off a dead or detached upstream;
+* **Column fidelity** — ``peer_columns`` on either container gathers
+  exactly what ``peer()`` reports, through removals and re-adds of the
+  same id (the object container reuses rows, the store retires them).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.arrays import DynamicAdjacency
 from repro.core.overlay_view import SoAOverlayNetwork
 from repro.core.store import SoAStore, TreeArrays
-from repro.errors import OverlayError
+from repro.errors import OverlayError, PeerNotFoundError
 from repro.overlay.graph import OverlayNetwork
 from repro.peers.peer import PeerInfo
 
@@ -247,3 +252,76 @@ def test_double_join_is_rejected_by_both_backends():
         except OverlayError:
             continue
         raise AssertionError("duplicate join must raise")
+
+
+class PeerColumnsMachine(RuleBasedStateMachine):
+    """add / remove / re-add the same ids on both containers; every
+    incarnation of an id carries different attributes, so a gather that
+    reads a stale or recycled row shows up as a wrong value."""
+
+    ids = st.integers(min_value=0, max_value=11)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.backends = [OverlayNetwork(), SoAOverlayNetwork(dims=3)]
+        self.live: dict[int, PeerInfo] = {}
+        self.removed: set[int] = set()
+        self.incarnations = 0
+
+    @rule(peer_id=ids)
+    def add_peer(self, peer_id):
+        if peer_id in self.live:
+            return
+        self.incarnations += 1
+        info = PeerInfo(
+            peer_id, float(self.incarnations),
+            np.asarray([peer_id, self.incarnations, -0.5 * peer_id]))
+        for backend in self.backends:
+            backend.add_peer(info)
+        self.live[peer_id] = info
+        self.removed.discard(peer_id)
+
+    @rule(peer_id=ids)
+    def remove_peer(self, peer_id):
+        if peer_id not in self.live:
+            return
+        for backend in self.backends:
+            backend.remove_peer(peer_id)
+        del self.live[peer_id]
+        self.removed.add(peer_id)
+
+    @invariant()
+    def columns_equal_peer_metadata(self):
+        # Reversed insertion order with one id repeated: the gather is
+        # positional, not a set.
+        wanted = list(reversed(self.live))
+        wanted += wanted[:1]
+        for backend in self.backends:
+            capacity, coords = backend.peer_columns(wanted)
+            assert capacity.shape == (len(wanted),)
+            assert coords.shape[0] == len(wanted)
+            for row, peer_id in enumerate(wanted):
+                info = backend.peer(peer_id)
+                assert info == self.live[peer_id]
+                assert capacity[row] == info.capacity
+                assert np.array_equal(coords[row], info.coordinate)
+            for peer_id in self.removed:
+                with pytest.raises(PeerNotFoundError):
+                    backend.peer_columns(wanted + [peer_id])
+
+    @invariant()
+    def gathered_columns_are_copies(self):
+        if not self.live:
+            return
+        peer_id = next(iter(self.live))
+        for backend in self.backends:
+            capacity, coords = backend.peer_columns([peer_id])
+            capacity[:] = -1.0
+            coords[:] = np.nan
+            assert backend.peer_columns([peer_id])[0][0] \
+                == self.live[peer_id].capacity
+
+
+TestPeerColumns = PeerColumnsMachine.TestCase
+TestPeerColumns.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from repro.config import UtilityConfig
 from repro.errors import ConfigurationError
-from repro.utility.backlink import back_link_acceptance_probability
+from repro.utility.backlink import (
+    back_link_acceptance_probabilities,
+    back_link_acceptance_probability,
+)
 from repro.utility.preference import (
     capacity_preference,
     derive_parameters,
@@ -243,3 +246,49 @@ class TestBackLink:
         p = back_link_acceptance_probability(
             own, req, dist, capacities, distances)
         assert 0.0 <= p <= 1.0
+
+    # Table-1 style levels and a coarse distance grid, so ties (the
+    # ``<=`` / ``>=`` edges of the rankings) are common.
+    _capacity = st.sampled_from([1.0, 10.0, 100.0, 1000.0, 10000.0])
+    _distance = st.integers(0, 40).map(lambda step: step * 12.5)
+
+    @given(
+        asked=st.lists(
+            st.tuples(_capacity, _distance,
+                      st.lists(st.tuples(_capacity, _distance),
+                               max_size=12)),
+            max_size=10),
+        requester_capacity=_capacity,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_the_formula_per_asked_peer(self, asked,
+                                                     requester_capacity):
+        """Ragged neighbor sets (empty ones included) in one call give,
+        per asked peer, exactly ``rc_k^2 rc_i + (1 - rc_k^2) rd_i`` with
+        the three rankings counted in plain Python."""
+        expected = []
+        for own, away, neighbors in asked:
+            n = len(neighbors)
+            if n == 0:
+                expected.append(1.0)
+                continue
+            rc_own = sum(c <= own for c, _ in neighbors) / n
+            rc_req = sum(c <= requester_capacity for c, _ in neighbors) / n
+            rd_req = sum(d >= away for _, d in neighbors) / n
+            weight = rc_own * rc_own
+            expected.append(weight * rc_req + (1.0 - weight) * rd_req)
+        flat = [pair for _, _, neighbors in asked for pair in neighbors]
+        batch = back_link_acceptance_probabilities(
+            own_capacities=[own for own, _, _ in asked],
+            requester_capacity=requester_capacity,
+            requester_distances_ms=[away for _, away, _ in asked],
+            neighbor_counts=[len(neighbors) for _, _, neighbors in asked],
+            neighbor_capacities=[c for c, _ in flat],
+            neighbor_distances_ms=[d for _, d in flat],
+        )
+        assert batch.tolist() == expected
+
+    def test_counts_must_cover_the_neighbor_entries(self):
+        with pytest.raises(ValueError):
+            back_link_acceptance_probabilities(
+                [1.0], 1.0, [1.0], [2], [1.0], [1.0])
