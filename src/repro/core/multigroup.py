@@ -33,9 +33,16 @@ groups.  Results are therefore independent of batch composition: any
 sharding of the group set, merged in group order, gives the same rows
 (what :mod:`repro.core.parallel` builds on).
 
-For SSA each group samples its forwarding subsets from its own
-generator (callers pass ``rngs``) with the Efraimidis-Spirakis keys of
-the procedural path but in frontier-batched order: runs are
+For SSA a peer forwards to a utility-sampled subset of its links.  The
+weights belong to the link, not the group: the Eq. 1-5 preference of
+every directed edge and the fanout of every row are computed once per
+flood, in one segmented pass over the CSR.  The draw is per group: each
+epoch cell takes the ``(group, row)`` senders forwarding for the first
+time, draws one Efraimidis-Spirakis key per out-link from the group's
+own generator (callers pass ``rngs``; one call per group in group
+order, rows ascending, links in CSR order) and keeps each sender's
+top-``fanout`` links in one flat ``bool(n_groups * E)`` mask.  These
+are the procedural path's keys in frontier-batched order: runs are
 deterministic per seed and statistically equivalent to, though not
 bit-identical with, the heap simulation, which samples in pop order.
 """
@@ -166,10 +173,12 @@ def flood_advertisements_batch(
 
     For ``scheme="ssa"`` each peer forwards to a utility-sampled subset
     of its neighbors, drawn once, when the peer first joins a frontier;
-    pass ``capacities`` plus one independent ``rngs[g]`` per group.
-    The SSA forwarding masks are materialized lazily, one ``bool(E)``
-    edge mask per group that actually floods — batch width is bounded
-    by memory for SSA; NSSA state is ``O(n_groups * n_rows)``.
+    pass one capacity per row plus one independent ``rngs[g]`` per
+    group (the array path ranks by full utility only).  The forwarding
+    mask is one flat ``bool(n_groups * E)`` over the ``E`` directed
+    edges, allocated up front (every root forwards in the first cell):
+    ``n_groups * E`` bytes on top of the ``O(n_groups * n_rows)`` state
+    both schemes hold, so memory bounds the batch width.
     """
     if scheme not in ("nssa", "ssa"):
         raise GroupError(f"unknown announcement scheme {scheme!r}")
@@ -191,7 +200,12 @@ def flood_advertisements_batch(
             raise GroupError("ssa flooding needs capacities and rngs")
         if len(rngs) != n_groups:
             raise GroupError("need one rng per group")
-        utility_config = utility_config or UtilityConfig()
+        if config.ssa_strategy != "utility":
+            raise GroupError("the array path has no ssa_strategy "
+                             f"{config.ssa_strategy!r}, only 'utility'")
+        capacities = np.asarray(capacities, dtype=np.float64)
+        if capacities.shape != (n,):
+            raise GroupError("need one capacity per CSR row")
 
     if epoch_ms is None:
         epoch_ms = float(latency.min()) if latency.size else 1.0
@@ -205,12 +219,16 @@ def flood_advertisements_batch(
     arrival[g_index, roots] = 0.0
     hops[g_index, roots] = 0
     expanded_at = np.full((n_groups, n), np.inf)
-    #: SSA state: per-group "has sampled" row masks plus lazily created
-    #: per-group edge masks (group -> bool(E)); NSSA forwards everywhere.
-    sampled = (np.zeros((n_groups, n), dtype=bool)
-               if scheme == "ssa" else None)
-    allowed: dict[int, np.ndarray] | None = (
-        {} if scheme == "ssa" else None)
+    degree = csr.degrees()
+    #: SSA state on flat keys: "has sampled" per (group, row) and "may
+    #: forward" per (group, edge); NSSA forwards everywhere.
+    sampled = allowed = None
+    if scheme == "ssa":
+        preference, fanout = _ssa_link_preferences(
+            csr, latency, capacities, degree, config,
+            utility_config or UtilityConfig())
+        sampled = np.zeros(n_groups * n, dtype=bool)
+        allowed = np.zeros(n_groups * latency.shape[0], dtype=bool)
 
     # Worklist of (group, row) coordinates flat-encoded as
     # ``g * n + row``, kept sorted, unique and *pending-only*
@@ -296,15 +314,14 @@ def flood_advertisements_batch(
             senders = frontier[forwards]
             touched = None
             if senders.size:
-                if scheme == "ssa":
-                    _sample_ssa_edges_batch(
-                        csr, latency, senders // n64, senders % n64,
-                        sampled, allowed, capacities, rngs, config,
-                        utility_config)
+                if allowed is not None:
+                    _sample_ssa_edges(
+                        csr, degree, senders, n64, preference, fanout,
+                        sampled, allowed, rngs)
                 touched = _relax_batch(
-                    csr, latency, senders, frontier_arrival[forwards],
-                    frontier_hops[forwards], n64, arrival_f, upstream_f,
-                    hops_f, allowed)
+                    csr, latency, degree, senders,
+                    frontier_arrival[forwards], frontier_hops[forwards],
+                    n64, arrival_f, upstream_f, hops_f, allowed)
             # Pendingness updates incrementally: the expanded frontier
             # drops out, the coordinates relaxation just improved join
             # the near list (or the far store, if due past the
@@ -329,12 +346,11 @@ def flood_advertisements_batch(
                             upstream=upstream, hops=hops)
 
 
-def _relax_batch(csr: CSRGraph, latency: np.ndarray,
+def _relax_batch(csr: CSRGraph, latency: np.ndarray, degree: np.ndarray,
                  senders: np.ndarray, sender_arrival: np.ndarray,
                  sender_hops: np.ndarray, n: np.int64,
                  arrival_f: np.ndarray, upstream_f: np.ndarray,
-                 hops_f: np.ndarray,
-                 allowed: dict[int, np.ndarray] | None
+                 hops_f: np.ndarray, allowed: np.ndarray | None
                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """One batched relaxation of every out-edge of the flat senders.
 
@@ -346,10 +362,11 @@ def _relax_batch(csr: CSRGraph, latency: np.ndarray,
     with no 2-D fancy indexing.  Returns ``(keys, arrivals)`` — the
     sorted flat keys of the (group, target) coordinates whose arrival
     improved plus their new arrivals (the caller's new worklist
-    entries) — or None.
+    entries) — or None.  ``allowed`` is the SSA forwarding mask on flat
+    ``g * E + edge`` keys (None: every edge forwards).
     """
     sv = senders % n
-    counts = np.diff(csr.indptr)[sv]
+    counts = degree[sv]
     positions = _concat_ranges(csr.indptr[sv], counts)
     if positions.size == 0:
         return None
@@ -357,22 +374,8 @@ def _relax_batch(csr: CSRGraph, latency: np.ndarray,
     # with _concat_ranges, which drops empty ranges.
     pair = np.repeat(np.arange(sv.shape[0], dtype=np.int64), counts)
     if allowed is not None:
-        src_g = (senders // n)[pair]
-        keep = np.empty(positions.shape[0], dtype=bool)
-        # Senders are group-major, so each group's edges are one
-        # contiguous run; gather that group's edge mask per run.
-        boundaries = np.nonzero(np.diff(src_g))[0] + 1
-        bounds = np.concatenate(
-            ([0], boundaries, [src_g.shape[0]]))
-        for i in range(bounds.shape[0] - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if lo == hi:
-                continue
-            mask = allowed.get(int(src_g[lo]))
-            if mask is None:
-                keep[lo:hi] = False
-            else:
-                keep[lo:hi] = mask[positions[lo:hi]]
+        edge_base = senders // n * latency.shape[0]
+        keep = allowed[edge_base[pair] + positions]
         positions = positions[keep]
         pair = pair[keep]
         if positions.size == 0:
@@ -419,93 +422,90 @@ def _relax_batch(csr: CSRGraph, latency: np.ndarray,
     return won, won_arrival
 
 
-def _sample_ssa_edges_batch(
-        csr: CSRGraph, latency: np.ndarray, sg: np.ndarray,
-        sv: np.ndarray, sampled: np.ndarray,
-        allowed: dict[int, np.ndarray], capacities: np.ndarray,
-        rngs: Sequence[RandomSource], config: AnnouncementConfig,
-        utility_config: UtilityConfig) -> None:
-    """Sample forwarding subsets group by group.
+def _ssa_link_preferences(
+        csr: CSRGraph, latency: np.ndarray, capacities: np.ndarray,
+        degree: np.ndarray, config: AnnouncementConfig,
+        utility_config: UtilityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Forwarding preference per directed edge and fanout per row.
 
-    Each group samples on its own state slices with its own generator,
-    so its draw sequence — and hence its forwarding mask — does not
-    depend on which other groups share the batch.
+    One segmented pass over the whole CSR, a row's out-links being one
+    segment: the row's resource level against its neighbors, the
+    derived alpha/beta/gamma and the Eq. 1-5 preference, normalized per
+    row.  None of it depends on a group or a generator, so a flood
+    computes it once.
     """
-    for g in np.unique(sg):
-        g = int(g)
-        mask = allowed.get(g)
-        if mask is None:
-            mask = allowed[g] = np.zeros(csr.indices.shape[0],
-                                         dtype=bool)
-        _sample_ssa_edges(csr, latency, sv[sg == g], sampled[g], mask,
-                          capacities, rngs[g], config, utility_config)
+    # reduceat wants non-empty segments: skip the linkless rows.
+    rows = np.flatnonzero(degree)
+    starts = csr.indptr[rows]
+    counts = degree[rows]
+    seg = np.repeat(np.arange(rows.shape[0]), counts)
 
-
-def _sample_ssa_edges(csr: CSRGraph, latency: np.ndarray,
-                      senders: np.ndarray, sampled: np.ndarray,
-                      allowed: np.ndarray, capacities: np.ndarray,
-                      rng: RandomSource, config: AnnouncementConfig,
-                      utility_config: UtilityConfig) -> None:
-    """Sample the forwarding subset of newly-frontiered SSA senders.
-
-    One segmented pass over the senders' edge slices: per-sender
-    resource levels, Eq. 1-5 preferences and Efraimidis-Spirakis keys,
-    then a per-segment top-``fanout`` selection.  Senders are processed
-    in row order so the draw sequence is deterministic per seed.
-    """
-    fresh = senders[~sampled[senders]]
-    if fresh.size == 0:
-        return
-    fresh = np.sort(fresh)
-    sampled[fresh] = True
-    counts = np.diff(csr.indptr)[fresh]
-    positions = _concat_ranges(csr.indptr[fresh], counts)
-    if positions.size == 0:
-        return
-    # Segment bookkeeping: edge i belongs to segment seg[i] with
-    # contiguous extent [seg_start, seg_start + seg_count).
-    nonzero = counts > 0
-    seg_counts = counts[nonzero]
-    seg_rows = fresh[nonzero]
-    seg_starts = np.zeros(seg_counts.shape[0], dtype=np.int64)
-    np.cumsum(seg_counts[:-1], out=seg_starts[1:])
-    seg = np.repeat(np.arange(seg_counts.shape[0]), seg_counts)
-
-    neighbor_caps = capacities[csr.indices[positions]]
-    own_caps = capacities[seg_rows]
+    neighbor_caps = capacities[csr.indices]
     # Resource level r = fraction of sampled (here: neighbor) capacities
     # strictly below the sender's own, clamped like the scalar helper.
-    below = (neighbor_caps < own_caps[seg]).astype(np.float64)
-    r = np.add.reduceat(below, seg_starts) / seg_counts
+    below = (neighbor_caps < capacities[rows][seg]).astype(np.float64)
+    r = np.add.reduceat(below, starts) / counts
     r = np.clip(r, utility_config.min_resource_level,
                 utility_config.max_resource_level)
     alpha, beta = 1.0 - r, r
     gamma = r ** (-np.log(r))
 
     # Distance preference (Eq. 1-2) on the edge latencies.
-    d = np.maximum(latency[positions], utility_config.min_distance_ms)
-    d_max = np.maximum.reduceat(d, seg_starts)
-    dn = d / d_max[seg]
+    d = np.maximum(latency, utility_config.min_distance_ms)
+    dn = d / np.maximum.reduceat(d, starts)[seg]
     dp = 1.0 / dn - alpha[seg]
-    dp = dp / np.add.reduceat(dp, seg_starts)[seg]
+    dp = dp / np.add.reduceat(dp, starts)[seg]
     # Capacity preference (Eq. 3).
     cp = np.maximum(neighbor_caps - beta[seg], 1e-12)
-    cp = cp / np.add.reduceat(cp, seg_starts)[seg]
+    cp = cp / np.add.reduceat(cp, starts)[seg]
     preference = gamma[seg] * cp + (1.0 - gamma[seg]) * dp
-    preference = preference / np.add.reduceat(
-        preference, seg_starts)[seg]
+    preference = preference / np.add.reduceat(preference, starts)[seg]
 
-    # Efraimidis-Spirakis keys; per-segment top-fanout selection.
-    draws = rng.random(preference.shape[0])
-    keys = np.log(draws) / preference
     fanout = np.maximum(
         config.ssa_min_fanout,
-        np.rint(config.ssa_fanout_fraction * seg_counts).astype(np.int64))
-    fanout = np.minimum(fanout, seg_counts)
+        np.rint(config.ssa_fanout_fraction * degree).astype(np.int64))
+    return preference, np.minimum(fanout, degree)
+
+
+def _sample_ssa_edges(csr: CSRGraph, degree: np.ndarray,
+                      senders: np.ndarray, n: np.int64,
+                      preference: np.ndarray, fanout: np.ndarray,
+                      sampled: np.ndarray, allowed: np.ndarray,
+                      rngs: Sequence[RandomSource]) -> None:
+    """Sample the forwarding subsets of one cell's first-time senders.
+
+    ``senders`` holds sorted ``g * n + row`` flat keys, so the fresh
+    ones are group-major with ascending rows and each group's out-links
+    are one contiguous run.  A group draws its run's Efraimidis-Spirakis
+    keys from its own generator in one call, so its draw sequence — and
+    hence its forwarding mask — does not depend on which other groups
+    share the batch; the per-sender top-``fanout`` selection then runs
+    once over all groups.
+    """
+    fresh = senders[~sampled[senders]]
+    sampled[fresh] = True
+    rows = fresh % n
+    counts = degree[rows]
+    positions = _concat_ranges(csr.indptr[rows], counts)
+    if positions.size == 0:
+        return
+    groups = fresh // n
+    ends = np.cumsum(counts)
+    draws = np.empty(positions.shape[0])
+    # Index of each present group's last fresh sender.
+    last = np.append(np.flatnonzero(groups[1:] != groups[:-1]),
+                     groups.shape[0] - 1)
+    lo = 0
+    for g, hi in zip(groups[last].tolist(), ends[last].tolist()):
+        draws[lo:hi] = rngs[g].random(hi - lo)
+        lo = hi
+    seg = np.repeat(np.arange(fresh.shape[0]), counts)
+    keys = np.log(draws) / preference[positions]
     order = np.lexsort((-keys, seg))
-    rank = np.arange(order.shape[0], dtype=np.int64) - seg_starts[seg]
-    picked = positions[order[rank < fanout[seg]]]
-    allowed[picked] = True
+    rank = np.arange(order.shape[0]) - (ends - counts)[seg]
+    picked = order[rank < fanout[rows][seg]]
+    edge_base = groups * preference.shape[0]
+    allowed[edge_base[seg[picked]] + positions[picked]] = True
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,10 @@ built on (``repro.core.multigroup`` / ``repro.core.parallel``):
   for digest (NSSA and SSA);
 * the sharded executor produces identical merged metrics and digests
   for every ``shards``/``jobs`` combination, including the inline path;
+* the SSA draw sequence is pinned (a constant recorded before the
+  sampler served all groups per cell; the differentials above cannot
+  see a change both sides share) and the per-link preferences it ranks
+  by are the procedural Eq. 1-5 helpers' row for row;
 * the climb kernel builds the tree the procedural ``subscribe_members``
   walk builds, and the bulk ``edge_latencies`` gather matches the
   per-edge loop.
@@ -24,9 +28,10 @@ import numpy as np
 import pytest
 
 import repro.core
-from repro.config import AnnouncementConfig
+from repro.config import SSA_STRATEGIES, AnnouncementConfig, UtilityConfig
 from repro.core import (
     BatchFloodResult,
+    CSRGraph,
     SoAOverlayNetwork,
     climb_subscriptions_batch,
     edge_latencies_from_coords,
@@ -39,6 +44,7 @@ from repro.core import (
     shard_bounds,
     synthetic_power_law_csr,
 )
+from repro.core.multigroup import _ssa_link_preferences
 from repro.errors import GroupError
 from repro.groupcast.advertisement import propagate_advertisement
 from repro.groupcast.subscription import subscribe_members
@@ -47,6 +53,8 @@ from repro.overlay.messages import MessageStats
 from repro.sim.engine import Simulator
 from repro.sim.messaging import MessageNetwork
 from repro.sim.random import spawn_rng
+from repro.utility.preference import selection_preference
+from repro.utility.resource_level import estimate_resource_level
 from repro.workloads.groups import sample_group_rows
 
 SRC = Path(repro.core.__file__).resolve().parents[2]
@@ -54,6 +62,10 @@ SEED = 7
 N = 400
 GROUPS = 24
 TTL = 8
+#: ``merged_digest()`` of the SSA pass over ``world``, recorded at the
+#: commit before SSA sampling became one segmented pass per epoch cell.
+SSA_PASS_DIGEST = (
+    "52c9ec00b6d8fab768e1e5c9d050cc4d6ae7105285512e587836e31c329a2821")
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +116,96 @@ def test_batch_composition_invariance(world):
     merged = merge_results(parts)
     assert np.array_equal(full.digests, merged.digests)
     assert full.metrics() == merged.metrics()
+
+
+# ----------------------------------------------------------------------
+# SSA sampling: pinned draw sequence, spec preferences, input checks
+# ----------------------------------------------------------------------
+def test_ssa_pass_digest_is_pinned(world):
+    args, kwargs = _pass_kwargs(world, "ssa")
+    assert run_group_pass(*args, **kwargs).merged_digest() == \
+        SSA_PASS_DIGEST
+
+
+def test_ssa_link_preferences_match_spec(groupcast_deployment):
+    """Every row's slice of the hoisted per-edge preference is the
+    procedural Eq. 1-5 vector over that row's neighbors."""
+    view = SoAOverlayNetwork.from_overlay(groupcast_deployment.overlay)
+    snapshot = view.csr()
+    n = snapshot.node_count
+    # Strip one mid-table row of its links: segmented reductions must
+    # step over an empty segment without shifting its neighbors'.
+    lone = n // 2
+    src, dst = snapshot.edge_sources(), snapshot.indices
+    keep = (src < dst) & (src != lone) & (dst != lone)
+    csr = CSRGraph.from_edges(n, src[keep], dst[keep])
+    degree = csr.degrees()
+    assert degree[lone] == 0 and degree.max() > 0
+    capacities = np.asarray(view.store.peers.capacity[:n], dtype=float)
+    latency = edge_latencies_from_coords(csr, view.store.peers.coords[:n])
+    config, utility = AnnouncementConfig(), UtilityConfig()
+    preference, fanout = _ssa_link_preferences(
+        csr, latency, capacities, degree, config, utility)
+    assert preference.shape == latency.shape
+    for row in range(n):
+        lo, hi = csr.indptr[row], csr.indptr[row + 1]
+        k = int(hi - lo)
+        expected_fanout = 0
+        if k:
+            neighbor_caps = capacities[csr.neighbors(row)]
+            expected = selection_preference(
+                neighbor_caps, latency[lo:hi],
+                estimate_resource_level(capacities[row], neighbor_caps,
+                                        utility), utility)
+            # atol: near r = max_resource_level, 1 - gamma cancels to
+            # ~1e-6 and carries math.log/np.log's last-ulp difference.
+            np.testing.assert_allclose(preference[lo:hi], expected,
+                                       rtol=1e-12, atol=1e-15)
+            assert preference[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
+            expected_fanout = min(max(
+                config.ssa_min_fanout,
+                int(round(config.ssa_fanout_fraction * k))), k)
+        assert fanout[row] == expected_fanout
+
+
+def test_ssa_ttl_zero_reaches_only_roots_without_draws(world):
+    csr, coords, latency, capacities, roots, _, _ = world
+    rngs = [spawn_rng(SEED, "ttl0", g) for g in range(3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    flood = flood_advertisements_batch(
+        csr, latency, roots[:3], 0, "ssa", capacities=capacities,
+        rngs=rngs)
+    assert np.array_equal(flood.receipt_counts(), [1, 1, 1])
+    assert np.array_equal(np.nonzero(flood.reached)[1], roots[:3])
+    assert [rng.bit_generator.state for rng in rngs] == before
+
+
+@pytest.mark.parametrize("strategy", SSA_STRATEGIES)
+def test_ssa_kernel_refuses_strategies_it_does_not_implement(
+        world, strategy):
+    csr, coords, latency, capacities, roots, _, _ = world
+
+    def flood():
+        return flood_advertisements_batch(
+            csr, latency, roots[:2], TTL, "ssa", capacities=capacities,
+            rngs=[spawn_rng(SEED, "strategy", g) for g in range(2)],
+            config=AnnouncementConfig(ssa_strategy=strategy))
+
+    if strategy == "utility":
+        assert (flood().receipt_counts() > 1).all()
+    else:
+        with pytest.raises(GroupError, match=strategy):
+            flood()
+
+
+@pytest.mark.parametrize("rows", [N - 1, N + 1], ids=["short", "long"])
+def test_ssa_kernel_rejects_misshapen_capacities(world, rows):
+    csr, coords, latency, capacities, roots, _, _ = world
+    with pytest.raises(GroupError, match="capacity"):
+        flood_advertisements_batch(
+            csr, latency, roots[:2], TTL, "ssa",
+            capacities=np.resize(capacities, rows),
+            rngs=[spawn_rng(SEED, "shape", g) for g in range(2)])
 
 
 # ----------------------------------------------------------------------

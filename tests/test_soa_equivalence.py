@@ -18,6 +18,7 @@ protocol behavior — that is a bug, not an acceptable approximation.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -55,6 +56,11 @@ SEED = 42
 GROUP = 1
 ANNOUNCEMENT = AnnouncementConfig(advertisement_ttl=7,
                                   subscription_search_ttl=3)
+#: sha256 over arrival + upstream + hops of the single-group SSA flood
+#: in ``test_vectorized_ssa_flood_is_deterministic``, recorded at the
+#: commit before SSA sampling became one segmented pass per epoch cell.
+SSA_FLOOD_DIGEST = (
+    "f3b0190e0ad18b86f4466c676fec25aa27899cc6ea14c4fedc1d032a4b5a24c4")
 
 
 def _view(deployment: Deployment) -> SoAOverlayNetwork:
@@ -308,6 +314,11 @@ def test_vectorized_ssa_flood_is_deterministic(groupcast_deployment):
     assert np.array_equal(runs[0].upstream, runs[1].upstream)
     # A selective flood must actually be selective.
     assert 0 < runs[0].receipt_count() <= csr.node_count
+    # Repeatability cannot see a change of the draw order itself: pin it.
+    digest = hashlib.sha256()
+    for column in (runs[0].arrival, runs[0].upstream, runs[0].hops):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    assert digest.hexdigest() == SSA_FLOOD_DIGEST
 
 
 # ----------------------------------------------------------------------
