@@ -16,7 +16,13 @@ overhead ratio**: the same episode runs twice, bare and with a
 registry sampling, online watchdogs), and
 ``metrics.runtime.telemetry_overhead_ratio`` = telemetry / bare wall
 time must stay under the 15% budget — a host-relative ratio that is
-stable across machines the way the BENCH_obs overhead gate is.
+stable across machines the way the BENCH_obs overhead gate is.  The
+budget is currently **not met**: since ``settle()`` stopped polling on
+a 20 ms grid (which rounded both episodes to the same number of ticks
+and read 1.01) the ratio reads 1.19-1.24, committed 1.20; closing it is
+``repro.obs`` work (ROADMAP item 5).  ``--check`` fails above
+``slack`` x the committed ratio, capped at :data:`CEILING_CAP` so that
+re-baselining cannot loosen the gate.
 
 Usage::
 
@@ -43,6 +49,12 @@ from repro.obs.live import LiveTelemetry  # noqa: E402
 
 SEED = 7
 GROUP = 1
+
+#: Live-telemetry overhead budget (telemetry / bare wall time).
+BUDGET = 1.15
+#: ``--check`` never passes a ratio above this, whatever is committed
+#: (the gate CI applied when the committed ratio read 1.01 was 1.52).
+CEILING_CAP = 1.5
 
 
 async def _run_episode(peers: int, members_count: int, publishes: int,
@@ -152,11 +164,13 @@ def check_against(report: dict, baseline_path: Path,
                   slack: float) -> int:
     """Gate: measured telemetry overhead within ``slack``x of the
     committed ratio (floored at the 1.15 budget, so tightening the
-    baseline never makes the gate impossible on slower machines)."""
+    baseline never makes the gate impossible on slower machines, and
+    capped at :data:`CEILING_CAP`, so loosening it never widens the
+    gate)."""
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     committed = baseline["metrics"]["runtime"]["telemetry_overhead_ratio"]
     measured = report["metrics"]["runtime"]["telemetry_overhead_ratio"]
-    ceiling = max(1.15, committed * slack)
+    ceiling = min(max(BUDGET, committed * slack), CEILING_CAP)
     status = "ok" if measured <= ceiling else "FAIL"
     print(f"{status:4s} live telemetry overhead: measured {measured}x, "
           f"committed {committed}x (ceiling {ceiling:.3f}x)")

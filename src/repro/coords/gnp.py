@@ -137,13 +137,32 @@ class GNPSystem:
         nearest = np.argsort(measured, axis=1)[:, :2]
         positions = landmarks[nearest].mean(axis=1)
         positions = positions + rng.normal(scale=1.0, size=positions.shape)
+        # One join embeds one peer, so the arrays are tiny and numpy's
+        # per-call wrappers dominate: preallocated buffers and the bare
+        # ufuncs ``np.linalg.norm(axis=2)`` is defined as, every
+        # operation and its order kept (bit-identical to the allocating
+        # loop kept as the reference in tests/test_coords.py).
+        diff = np.empty((n,) + landmarks.shape)                   # (n, L, d)
+        squares = np.empty_like(diff)
+        embedded = np.empty((n, len(routers)))                    # (n, L)
+        safe = np.empty_like(embedded)
+        scale = np.empty_like(embedded)
+        grad = np.empty_like(positions)                           # (n, d)
+        spread = positions[:, None, :]    # view: follows the in-place steps
+        frame = landmarks[None, :, :]
         for _ in range(cfg.peer_iterations):
-            diff = positions[:, None, :] - landmarks[None, :, :]  # (n, L, d)
-            embedded = np.linalg.norm(diff, axis=2)               # (n, L)
-            safe = np.maximum(embedded, 1e-9)
-            scale = (embedded - measured) / safe                  # (n, L)
-            grad = 2.0 * np.einsum("nl,nld->nd", scale, diff) / len(routers)
-            positions -= cfg.learning_rate * grad
+            np.subtract(spread, frame, out=diff)
+            np.multiply(diff, diff, out=squares)
+            np.add.reduce(squares, axis=2, out=embedded)
+            np.sqrt(embedded, out=embedded)
+            np.maximum(embedded, 1e-9, out=safe)
+            np.subtract(embedded, measured, out=scale)
+            np.divide(scale, safe, out=scale)
+            np.einsum("nl,nld->nd", scale, diff, out=grad)
+            grad *= 2.0
+            grad /= len(routers)
+            grad *= cfg.learning_rate
+            positions -= grad
 
         for i, peer in enumerate(peer_ids):
             space.set(peer, positions[i])

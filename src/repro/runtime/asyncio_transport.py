@@ -22,6 +22,17 @@ topologies whose path sums differ by more than the jitter) makes the
 live NSSA tree converge to the simulated one — the basis of the
 loopback conformance test.
 
+Each endpoint keeps **one lazily re-armed retransmit timer**: a send
+arms it only when none is armed or the new frame's deadline is earlier
+than the armed one; acks and purges never touch it (removing a frame
+cannot make the earliest deadline earlier).  A timer that fires with
+nothing due re-arms at the window's earliest deadline — the only place
+the in-flight window is scanned, at most once per retransmit timeout
+per endpoint rather than per datagram.  It may therefore fire early,
+never late.  Quiescence is one O(1) count of unacked frames plus
+deliveries not yet handed over; waiters wake the moment it reaches
+zero.
+
 Causal spans ride the frames themselves: :meth:`send` mints a child
 span of the ambient :attr:`current_span` and stamps it into the
 frame's ``"c"`` header, so the receiving side — even a peer in another
@@ -39,7 +50,7 @@ import asyncio
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from ..errors import TransportError
+from ..errors import FramingError, TopologyError, TransportError
 from ..obs.registry import Counter, Registry
 from ..obs.tracer import (
     KIND_DEAD_LETTER,
@@ -50,7 +61,7 @@ from ..obs.tracer import (
     Tracer,
 )
 from ..overlay.messages import MessageKind, MessageStats
-from .framing import ACK, Frame, decode_frame, encode_frame
+from .framing import Frame, decode_frame, encode_frame
 from .reliability import ReliableEndpoint, RetryPolicy
 from .transport import AsyncioTimers, Handler, TimerHandle, Transport
 
@@ -73,9 +84,11 @@ class _DatagramProtocol(asyncio.DatagramProtocol):
 
 
 class _PeerEndpoint:
-    """One locally hosted peer: socket + ARQ state + retransmit pump."""
+    """One locally hosted peer: socket + ARQ state + retransmit pump
+    (``pump_due_ms`` is the deadline ``pump_handle`` is armed for)."""
 
-    __slots__ = ("peer_id", "transport", "reliable", "pump_handle")
+    __slots__ = ("peer_id", "transport", "reliable", "pump_handle",
+                 "pump_due_ms")
 
     def __init__(self, peer_id: int, transport, reliable: ReliableEndpoint
                  ) -> None:
@@ -83,6 +96,7 @@ class _PeerEndpoint:
         self.transport = transport
         self.reliable = reliable
         self.pump_handle = None
+        self.pump_due_ms = 0.0
 
 
 class AsyncioTransport(Transport):
@@ -110,7 +124,8 @@ class AsyncioTransport(Transport):
         self._endpoints: dict[int, _PeerEndpoint] = {}
         self._routes: dict[int, tuple[str, int]] = {}
         self._handlers: dict[int, Handler] = {}
-        self._pending = 0
+        self._outstanding = 0  # unacked frames + undelivered frames
+        self._idle = asyncio.Event()
         self.faults = None  # optional FaultyTransport (inject_faults)
         self._c_sent = self.registry.counter("net.sent")
         self._c_delivered = self.registry.counter("net.delivered")
@@ -178,6 +193,7 @@ class AsyncioTransport(Transport):
             if endpoint.pump_handle is not None:
                 endpoint.pump_handle.cancel()
             endpoint.transport.close()
+            self._settle(endpoint.reliable.unacked())
         self.forget_peer(peer_id)
 
     def forget_peer(self, peer_id: int) -> int:
@@ -198,8 +214,7 @@ class AsyncioTransport(Transport):
             total_abandoned += abandoned
             for _ in range(abandoned):
                 self._c_dead.inc()
-            if abandoned:
-                self._schedule_pump(survivor)
+        self._settle(total_abandoned)
         return total_abandoned
 
     async def close(self) -> None:
@@ -277,8 +292,10 @@ class AsyncioTransport(Transport):
         # the sender opened.
         frame = endpoint.reliable.package(recipient, payload, kind,
                                           self.now(), span=span)
+        self._outstanding += 1
         self._transmit(endpoint, frame)
-        self._schedule_pump(endpoint)
+        self._schedule_pump(
+            endpoint, frame.sent_at_ms + self.policy.delay_ms(0))
 
     @contextmanager
     def span_scope(self, span: Optional[SpanContext]) -> Iterator[None]:
@@ -317,21 +334,33 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:
         """True when no frame is unacked and no delivery is pending."""
-        if self._pending:
-            return False
-        return all(ep.reliable.unacked() == 0
-                   for ep in self._endpoints.values())
+        return self._outstanding == 0
 
     async def wait_quiescent(self, timeout_s: float,
                              interval_s: float = 0.02) -> bool:
-        """Poll :meth:`quiescent` until true or the deadline passes."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout_s
-        while loop.time() < deadline:
-            if self.quiescent():
-                return True
-            await asyncio.sleep(interval_s)
+        """Wait until :meth:`quiescent` or the deadline passes.
+
+        Wakes the moment the outstanding count reaches zero; nothing
+        polls, so ``interval_s`` is unused (kept for callers that pass
+        it).
+        """
+        async def idle() -> None:
+            while self._outstanding:
+                self._idle.clear()
+                await self._idle.wait()
+
+        if self._outstanding:
+            try:
+                await asyncio.wait_for(idle(), timeout_s)
+            except asyncio.TimeoutError:
+                pass
         return self.quiescent()
+
+    def _settle(self, count: int = 1) -> None:
+        """``count`` outstanding frames/deliveries are accounted for."""
+        self._outstanding -= count
+        if not self._outstanding:
+            self._idle.set()
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -398,17 +427,16 @@ class AsyncioTransport(Transport):
             return
         endpoint.transport.sendto(data, address)
 
-    def _schedule_pump(self, endpoint: _PeerEndpoint) -> None:
-        """(Re)arm the retransmit pump at the earliest ARQ deadline."""
+    def _schedule_pump(self, endpoint: _PeerEndpoint, due_ms: float) -> None:
+        """Have the retransmit pump fire no later than ``due_ms``: a
+        no-op while an armed timer is already due by then."""
         if endpoint.pump_handle is not None:
+            if endpoint.pump_due_ms <= due_ms:
+                return
             endpoint.pump_handle.cancel()
-            endpoint.pump_handle = None
-        due_ms = endpoint.reliable.next_due_ms()
-        if due_ms is None:
-            return
-        delay_ms = max(0.0, due_ms - self.now())
+        endpoint.pump_due_ms = due_ms
         endpoint.pump_handle = self.arm_timer(
-            delay_ms, lambda: self._pump(endpoint))
+            max(0.0, due_ms - self.now()), lambda: self._pump(endpoint))
 
     def _pump(self, endpoint: _PeerEndpoint) -> None:
         endpoint.pump_handle = None
@@ -418,12 +446,15 @@ class AsyncioTransport(Transport):
             self._transmit(endpoint, frame)
         for frame in endpoint.reliable.take_expired():
             self._c_dead.inc()
+            self._settle()
             if self.tracer is not None:
                 self.tracer.record(
                     self.now(), KIND_DEAD_LETTER, a=frame.sender,
                     b=frame.recipient, detail=frame.kind,
                     span=frame.span)
-        self._schedule_pump(endpoint)
+        due_ms = endpoint.reliable.next_due_ms()
+        if due_ms is not None:
+            self._schedule_pump(endpoint, due_ms)
 
     def _on_datagram(self, peer_id: int, data: bytes) -> None:
         endpoint = self._endpoints.get(peer_id)
@@ -431,13 +462,12 @@ class AsyncioTransport(Transport):
             return
         try:
             frame = decode_frame(data)
-        except Exception:
+        except FramingError:
             self._c_malformed.inc()
             return
         result = endpoint.reliable.on_frame(frame, self.now())
-        if frame.frame_type == ACK:
-            self._schedule_pump(endpoint)
-            return
+        if result.acked:
+            self._settle()
         if result.ack is not None:
             self._transmit(endpoint, result.ack)
         if not result.deliver:
@@ -448,24 +478,25 @@ class AsyncioTransport(Transport):
             try:
                 target_ms = frame.sent_at_ms + self.latency_fn(
                     frame.sender, frame.recipient)
-            except Exception:
+            except (KeyError, TopologyError):
                 # Pairs outside the pacing table (ops probes cross the
-                # overlay; edge-keyed tables only cover neighbors) are
-                # delivered unpaced instead of wedging the socket
+                # overlay; edge-keyed tables only cover neighbors; the
+                # underlay raises TopologyError for an unattached peer)
+                # are delivered unpaced instead of wedging the socket
                 # callback.
                 target_ms = self.now()
             delay_ms = max(0.0, target_ms - self.now())
-        self._pending += 1
+        self._outstanding += 1
         self.arm_timer(delay_ms, lambda: self._deliver(frame, span))
 
     def _deliver(self, frame: Frame, span: Optional[SpanContext]) -> None:
         from ..sim.messaging import Envelope
 
-        self._pending -= 1
         handler = self._handlers.get(frame.recipient)
         detail = frame.kind
         if handler is None:
             self._c_dead.inc()
+            self._settle()
             if self.tracer is not None:
                 self.tracer.record(self.now(), KIND_DEAD_LETTER,
                                    a=frame.sender, b=frame.recipient,
@@ -490,3 +521,5 @@ class AsyncioTransport(Transport):
             handler(envelope)
         finally:
             self.current_span = previous
+            # Last: what the handler sent is counted before this goes.
+            self._settle()

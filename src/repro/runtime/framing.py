@@ -7,12 +7,18 @@ free (the container ships no msgpack/protobuf).
 
 Protocol payloads are dataclasses registered in :data:`PAYLOAD_TYPES`
 (the session wire vocabulary: advertise, subscribe, search, search
-reply, payload — plus the ops introspection pair).  Encoding stores
-the dataclass fields; decoding rebuilds the registered type, coercing
-JSON arrays back to tuples (recursively — ops replies nest tuples) —
-every registered payload uses tuples for its sequence fields, so
+reply, payload — plus the ops introspection pair).  Every registered
+type is *flat* (ints, floats, strings and tuples of those — checked at
+import), so encoding reads the fields straight off a per-type
+``(wire name, field names)`` table built once, with no reflection per
+frame, and one module-level JSON encoder/decoder pair serves every
+frame.  Decoding rebuilds the registered type, coercing JSON arrays
+back to tuples (recursively — ops replies nest tuples) — every
+registered payload uses tuples for its sequence fields, so
 ``decode(encode(x)) == x`` holds exactly (property-tested in
-``tests/test_runtime_framing.py``).
+``tests/test_runtime_framing.py``).  Whatever bytes arrive,
+:func:`decode_frame` either returns a :class:`Frame` or raises
+:class:`~repro.errors.FramingError` (fuzzed in the same suite).
 
 Frames optionally carry a causal span header ``"c"``: the
 ``(trace_id, span_id, parent_id)`` triple of the
@@ -31,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_type_hints
 
 from ..errors import FramingError
 from ..groupcast.session import (
@@ -66,7 +72,18 @@ PAYLOAD_TYPES: Mapping[str, type] = {
     "ops_reply": OpsReply,
 }
 
-_TYPE_NAMES = {cls: name for name, cls in PAYLOAD_TYPES.items()}
+#: Per-type ``(wire name, field names)``, read by :func:`encode_payload`.
+_CODECS = {cls: (name, tuple(f.name for f in dataclasses.fields(cls)))
+           for name, cls in PAYLOAD_TYPES.items()}
+assert not any(dataclasses.is_dataclass(hint) for cls in _CODECS
+               for hint in get_type_hints(cls).values()), \
+    "wire payloads are flat: no field may itself be a dataclass"
+
+_KINDS = frozenset({""} | {kind.value for kind in MessageKind})
+
+# One canonical (sorted keys, compact) encoder / decoder pair, built once.
+_to_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_from_json = json.JSONDecoder().decode
 
 
 @dataclass(frozen=True)
@@ -99,11 +116,13 @@ class Frame:
 
 def encode_payload(payload: object) -> dict:
     """Encode a registered payload dataclass to a JSON-safe dict."""
-    name = _TYPE_NAMES.get(type(payload))
-    if name is None:
+    codec = _CODECS.get(type(payload))
+    if codec is None:
         raise FramingError(
             f"unregistered payload type {type(payload).__name__!r}")
-    return {"t": name, "f": dataclasses.asdict(payload)}
+    name, fields = codec
+    return {"t": name, "f": {field: getattr(payload, field)
+                             for field in fields}}
 
 
 def _coerce(value: object) -> object:
@@ -117,15 +136,10 @@ def decode_payload(obj: dict) -> object:
     """Rebuild a registered payload dataclass from its wire dict."""
     try:
         cls = PAYLOAD_TYPES[obj["t"]]
-        fields = obj["f"]
-    except (KeyError, TypeError) as exc:
-        raise FramingError(f"malformed payload object: {obj!r}") from exc
-    coerced = {key: _coerce(value) for key, value in fields.items()}
-    try:
-        return cls(**coerced)
-    except TypeError as exc:
-        raise FramingError(
-            f"payload fields do not match {cls.__name__}: {exc}") from exc
+        return cls(**{key: _coerce(value)
+                      for key, value in obj["f"].items()})
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise FramingError(f"malformed payload object: {exc!r}") from exc
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -149,8 +163,7 @@ def encode_frame(frame: Frame) -> bytes:
         # by the framing property suite).
         body["c"] = [frame.span.trace_id, frame.span.span_id,
                      frame.span.parent_id]
-    encoded = MAGIC + json.dumps(
-        body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    encoded = MAGIC + _to_json(body).encode("utf-8")
     if len(encoded) > MAX_FRAME_BYTES:
         raise FramingError(
             f"frame of {len(encoded)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -162,38 +175,37 @@ def decode_frame(datagram: bytes) -> Frame:
     if len(datagram) < len(MAGIC) or datagram[: len(MAGIC)] != MAGIC:
         raise FramingError("datagram does not start with the frame magic")
     try:
-        body = json.loads(datagram[len(MAGIC):].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        body = _from_json(datagram[len(MAGIC):].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON
         raise FramingError(f"undecodable frame body: {exc}") from exc
     if not isinstance(body, dict):
         raise FramingError("frame body must be a JSON object")
     try:
         frame_type = body["y"]
-        sender = body["a"]
-        recipient = body["b"]
-        seq = body["q"]
+        if frame_type not in (DATA, ACK):
+            raise FramingError(f"unknown frame type {frame_type!r}")
+        kind = body.get("k", "")
+        if kind not in _KINDS:
+            raise FramingError(f"unknown message kind {kind!r}")
+        span = None
+        if "c" in body:
+            triple = body["c"]
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise FramingError(f"malformed span header: {triple!r}")
+            span = SpanContext(int(triple[0]), int(triple[1]),
+                               int(triple[2]))
+        return Frame(
+            frame_type=frame_type,
+            sender=int(body["a"]),
+            recipient=int(body["b"]),
+            seq=int(body["q"]),
+            kind=kind,
+            sent_at_ms=float(body.get("s", 0.0)),
+            payload=decode_payload(body["p"]) if "p" in body else None,
+            nonce=int(body.get("n", 0)),
+            span=span,
+        )
     except KeyError as exc:
         raise FramingError(f"frame missing field {exc}") from exc
-    if frame_type not in (DATA, ACK):
-        raise FramingError(f"unknown frame type {frame_type!r}")
-    payload = None
-    if "p" in body:
-        payload = decode_payload(body["p"])
-    span = None
-    if "c" in body:
-        triple = body["c"]
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise FramingError(f"malformed span header: {triple!r}")
-        span = SpanContext(int(triple[0]), int(triple[1]),
-                           int(triple[2]))
-    return Frame(
-        frame_type=frame_type,
-        sender=int(sender),
-        recipient=int(recipient),
-        seq=int(seq),
-        kind=str(body.get("k", "")),
-        sent_at_ms=float(body.get("s", 0.0)),
-        payload=payload,
-        nonce=int(body.get("n", 0)),
-        span=span,
-    )
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FramingError(f"frame field of the wrong type: {exc}") from exc

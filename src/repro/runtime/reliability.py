@@ -15,7 +15,23 @@ reported expired.
 Per-peer sequence numbers do double duty: the sender keys its in-flight
 window on ``(recipient, seq)`` and the receiver suppresses duplicates
 on ``(sender, nonce, seq)`` — a retransmitted or fault-duplicated
-datagram is re-acked but never re-delivered.  The ``nonce`` is the
+datagram is re-acked but never re-delivered.  Dedup state is bounded:
+per ``(sender, nonce)`` a contiguous watermark (every lower ``seq`` was
+seen) plus the out-of-order arrivals within :data:`REORDER_WINDOW` of
+it; a frame further ahead is neither acked nor delivered, so the
+sender's own retransmit timer re-offers it once the gap has closed,
+and a stream received in order costs O(1) memory however long it runs.
+A gap the sender gave up on (an expired frame, a route published late)
+never closes, so the receiver also keeps a few ``(when, highest seq)``
+samples of what it refused: sequence numbers are handed out in
+packaging order, so once a sample is older than the policy's whole
+retry budget every unseen ``seq`` below it has expired at its sender
+and the watermark moves past it — the pair stalls for one budget
+instead of for ever, and nothing is acked that was not delivered
+(sliding at once would ack, undelivered, any retransmission that
+arrives more than a window late).  This assumes both ends run the
+same :class:`RetryPolicy` and a datagram spends less than the
+policy's longest backoff on the wire.  The ``nonce`` is the
 sender's incarnation number: a restarted peer packages frames under a
 fresh nonce, so its from-zero sequence numbers are not swallowed by
 dedup state remembered from its previous life, and acks echoing an old
@@ -36,6 +52,9 @@ from .framing import ACK, DATA, Frame
 #: 1 = first try acked, 2 = one retransmit, ... the overflow bucket
 #: collects frames that needed most of their retry budget.
 ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 5.0, 9.0)
+
+#: Out-of-order DATA frames are accepted this far past the watermark.
+REORDER_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -77,20 +96,39 @@ class _InFlight:
     attempts: int = 1
 
 
+@dataclass
+class _Seen:
+    """Dedup state for one sender incarnation: every ``seq < low`` was
+    seen (or has expired at the sender), plus the out-of-order
+    ``ahead`` set (all within :data:`REORDER_WINDOW` of ``low``);
+    ``refused`` holds ``(when, highest seq refused so far)`` samples."""
+
+    low: int = 0
+    ahead: set[int] = field(default_factory=set)
+    high: int = 0
+    refused: list[tuple[float, int]] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class ReceiveResult:
     """What one incoming frame produced.
 
     ``ack`` is a frame the caller must transmit back (None for ACK
-    frames and frames not addressed to this peer); ``deliver`` is True
-    when the payload should be handed to the protocol handler;
-    ``duplicate`` marks an already-seen sequence number (re-acked, not
-    re-delivered).
+    frames, frames not addressed to this peer and frames beyond the
+    reorder window); ``deliver`` is True when the payload should be
+    handed to the protocol handler; ``duplicate`` marks an already-seen
+    sequence number (re-acked, not re-delivered); ``acked`` is True
+    when an ACK frame cleared an in-flight frame.
     """
 
     ack: Frame | None = None
     deliver: bool = False
     duplicate: bool = False
+    acked: bool = False
+
+
+_NOTHING = ReceiveResult()
+_ACKED = ReceiveResult(acked=True)
 
 
 class ReliableEndpoint:
@@ -106,8 +144,13 @@ class ReliableEndpoint:
         self.nonce = nonce
         self._next_seq: dict[int, int] = {}
         self._in_flight: dict[tuple[int, int], _InFlight] = {}
-        self._seen: dict[tuple[int, int], set[int]] = {}
+        self._seen: dict[tuple[int, int], _Seen] = {}
         self._expired: list[Frame] = []
+        # How long a sender under this policy keeps a frame before it
+        # expires (the receiver assumes its peers retry no longer).
+        self._give_up_ms = sum(self.policy.delay_ms(attempt) for attempt
+                               in range(self.policy.max_retries + 1))
+        self._sample_ms = self._give_up_ms / 16  # <= 17 refusal samples
         self._c_retransmits = self.registry.counter("runtime.retransmits")
         self._c_duplicates = self.registry.counter(
             "runtime.duplicates_suppressed")
@@ -194,7 +237,7 @@ class ReliableEndpoint:
         """Drop all ARQ state tied to ``peer_id`` (it crashed).
 
         Purges in-flight frames addressed to it (nothing will ever ack
-        them), its dedup sets across every incarnation, and the outgoing
+        them), its dedup state across every incarnation, and the outgoing
         sequence counter.  Returns the number of in-flight frames
         abandoned.
         """
@@ -217,21 +260,41 @@ class ReliableEndpoint:
                     (frame.sender, frame.seq), None)
                 if entry is not None:
                     self._h_attempts.observe(float(entry.attempts))
-            return ReceiveResult()
+                    return _ACKED
+            return _NOTHING
         if frame.recipient != self.peer_id:
-            return ReceiveResult()  # stray datagram; drop silently
+            return _NOTHING  # stray datagram; drop silently
+        seen = self._seen.get((frame.sender, frame.nonce))
+        if seen is None:
+            seen = self._seen[(frame.sender, frame.nonce)] = _Seen()
+        seq = frame.seq
+        if seq >= seen.low + REORDER_WINDOW:
+            marks = seen.refused
+            while marks and now_ms - marks[0][0] >= self._give_up_ms:
+                # Every seq below a frame refused this long ago was
+                # packaged before it and has since expired at its
+                # sender: stop waiting for the unseen ones.
+                seen.low = max(seen.low, marks.pop(0)[1])
+                seen.ahead = {s for s in seen.ahead if s >= seen.low}
+            if seq >= seen.low + REORDER_WINDOW:
+                seen.high = max(seen.high, seq)
+                if not marks or now_ms - marks[-1][0] >= self._sample_ms:
+                    marks.append((now_ms, seen.high))
+                return _NOTHING  # unacked: re-offered once the gap closes
         ack = Frame(
             frame_type=ACK,
             sender=frame.recipient,
             recipient=frame.sender,
-            seq=frame.seq,
+            seq=seq,
             sent_at_ms=now_ms,
             nonce=frame.nonce,
         )
         self._c_acks.inc()
-        seen = self._seen.setdefault((frame.sender, frame.nonce), set())
-        if frame.seq in seen:
+        if seq < seen.low or seq in seen.ahead:
             self._c_duplicates.inc()
             return ReceiveResult(ack=ack, deliver=False, duplicate=True)
-        seen.add(frame.seq)
+        seen.ahead.add(seq)
+        while seen.low in seen.ahead:
+            seen.ahead.remove(seen.low)
+            seen.low += 1
         return ReceiveResult(ack=ack, deliver=True)

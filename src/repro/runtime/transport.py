@@ -147,7 +147,8 @@ class SimTimers:
 class AsyncioTimers:
     """The asyncio counterpart of :class:`SimTimers`.
 
-    Milliseconds in, ``loop.call_later`` underneath; ``now()`` is
+    Milliseconds in, ``loop.call_later`` underneath (``loop.call_soon``
+    for a zero delay, which skips the timer heap); ``now()`` is
     wall-clock milliseconds since construction so protocol timestamps
     stay small and comparable with virtual-time traces.
     """
@@ -168,5 +169,8 @@ class AsyncioTimers:
     def arm_timer(self, delay_ms: float,
                   action: Callable[[], None]) -> TimerHandle:
         """Arm a callback on the running loop; the asyncio handle
-        (which has ``cancel``) is returned as-is."""
+        (which has ``cancel``) is returned as-is.  Either way the
+        callback runs on a later loop iteration, never inline."""
+        if delay_ms <= 0.0:
+            return self._loop.call_soon(action)
         return self._loop.call_later(delay_ms / 1_000.0, action)

@@ -72,6 +72,31 @@ class TestCoordinateSpace:
             CoordinateSpace(0)
 
 
+def _reference_embed(gnp, underlay, peer_ids, rng):
+    """``GNPSystem.embed_peers`` as first written: one fresh array per
+    numpy call, ``np.linalg.norm`` for the embedded distances."""
+    cfg = gnp.config
+    landmarks = gnp._landmark_coords
+    routers = gnp._landmark_routers
+    measured = np.empty((len(peer_ids), len(routers)), dtype=float)
+    for j, router in enumerate(routers):
+        dist = underlay.router_distances_from(int(router))
+        for i, peer in enumerate(peer_ids):
+            att = underlay.attachment(peer)
+            measured[i, j] = att.access_latency_ms + dist[att.router_id]
+    nearest = np.argsort(measured, axis=1)[:, :2]
+    positions = landmarks[nearest].mean(axis=1)
+    positions = positions + rng.normal(scale=1.0, size=positions.shape)
+    for _ in range(cfg.peer_iterations):
+        diff = positions[:, None, :] - landmarks[None, :, :]
+        embedded = np.linalg.norm(diff, axis=2)
+        safe = np.maximum(embedded, 1e-9)
+        scale = (embedded - measured) / safe
+        grad = 2.0 * np.einsum("nl,nld->nd", scale, diff) / len(routers)
+        positions -= cfg.learning_rate * grad
+    return positions
+
+
 class TestGNP:
     def test_requires_fit_before_embedding(self, underlay):
         gnp = GNPSystem()
@@ -112,6 +137,26 @@ class TestGNP:
         gnp.fit_landmarks(underlay, spawn_rng(3, "lm"))
         out = gnp.embed_peers([], gnp.make_space(), spawn_rng(3, "none"))
         assert out.shape == (0, gnp.config.dimensions)
+
+    def test_embed_is_bit_identical_to_the_allocating_reference(
+            self, underlay):
+        """The buffer-reusing descent must reproduce the plain numpy
+        loop it replaced bit for bit (coordinates feed every overlay
+        digest), at n = 1 (what a churn join calls) and in batches."""
+        gnp = GNPSystem()
+        gnp.fit_landmarks(underlay, spawn_rng(3, "lm"))
+        picker = spawn_rng(11, "embed-problems")
+        problems = [[int(picker.integers(40))] for _ in range(180)]
+        problems += [[int(p) for p in picker.choice(40, size=3,
+                                                    replace=False)]
+                     for _ in range(30)]
+        problems.append(list(range(40)))
+        for index, peers in enumerate(problems):
+            got = gnp.embed_peers(peers, gnp.make_space(),
+                                  spawn_rng(index, "embed"))
+            want = _reference_embed(gnp, underlay, peers,
+                                    spawn_rng(index, "embed"))
+            assert np.array_equal(got, want), (index, peers)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
