@@ -61,10 +61,6 @@ def run_benchmarks(peers: int, repeat: int) -> dict:
     receivers = ids[1:]
     matrix_peers = ids[:min(peers, 400)]
 
-    # Warm the row caches so both sides measure extraction, not Dijkstra.
-    underlay.peer_distance_matrix(matrix_peers)
-    underlay.peer_hop_counts(source, receivers)
-
     def scalar_matrix():
         return [[underlay.peer_distance_ms(a, b) for b in matrix_peers]
                 for a in matrix_peers]

@@ -75,9 +75,7 @@ class GNPSystem:
                 "underlay too small for the requested landmark count")
         routers = rng.choice(underlay.router_count, size=count, replace=False)
         routers = np.sort(routers.astype(np.int64))
-        measured = np.empty((count, count), dtype=float)
-        for i, router in enumerate(routers):
-            measured[i] = underlay.router_distances_from(int(router))[routers]
+        measured = underlay.routing.dist[np.ix_(routers, routers)]
 
         coords = rng.normal(scale=measured.mean() / 4.0,
                             size=(count, cfg.dimensions))
@@ -93,10 +91,7 @@ class GNPSystem:
         assert self._underlay is not None
         routers = self._landmark_routers
         coords = self._landmark_coords
-        measured = np.empty((len(routers), len(routers)), dtype=float)
-        for i, router in enumerate(routers):
-            measured[i] = self._underlay.router_distances_from(
-                int(router))[routers]
+        measured = self._underlay.routing.dist[np.ix_(routers, routers)]
         embedded = _pairwise_distances(coords)
         mask = ~np.eye(len(routers), dtype=bool)
         return float(np.mean(
@@ -124,13 +119,12 @@ class GNPSystem:
         if n == 0:
             return np.empty((0, cfg.dimensions), dtype=float)
 
-        # Measured peer->landmark latencies, (n, L).
-        measured = np.empty((n, len(routers)), dtype=float)
-        for j, router in enumerate(routers):
-            dist = self._underlay.router_distances_from(int(router))
-            for i, peer in enumerate(peer_ids):
-                att = self._underlay.attachment(peer)
-                measured[i, j] = att.access_latency_ms + dist[att.router_id]
+        # Measured peer->landmark latencies, (n, L): access(peer) plus
+        # the landmark's distance row, read landmark -> peer router.
+        core = self._underlay.routing
+        _, peer_routers, access = core.attach_info(peer_ids)
+        measured = (access[:, None]
+                    + core.dist[np.ix_(routers, peer_routers)].T)
 
         # Initialise each peer at the centroid of its two closest landmarks
         # plus noise; descend on squared embedding error.

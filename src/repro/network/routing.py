@@ -1,53 +1,31 @@
-"""Array-backed routing core: bulk Dijkstra with interned rows.
+"""Array-backed routing core: one dense all-pairs router matrix.
 
-This module is the shared engine behind every latency / path / hop /
-link-stress query of the reproduction.  It replaces the original design
-— per-source scalar Dijkstra calls memoized in an unbounded dict, plus
-per-peer attachment dicts — with three ideas:
+Solved once when the network is built (the default transit-stub
+underlay has 208 routers); every query is then a gather:
 
-* **Array-backed attachments.**  Peer router ids and access latencies
-  live in dense numpy vectors indexed by peer id, so a bulk query over
-  ``k`` peers is two fancy-indexed gathers instead of ``k`` dict lookups.
-* **Bulk multi-source Dijkstra with row interning.**  Routers that have
-  peers attached are *interned*: the first query triggers one
-  multi-source :func:`scipy.sparse.csgraph.dijkstra` over every attached
-  router pending at that moment, and the resulting distance/predecessor
-  rows are kept for the lifetime of the network (the set of attached
-  routers is bounded by the number of stub routers, not by the number of
-  peers).  Ad-hoc sources that never had a peer attached go through a
-  small bounded LRU instead, so arbitrary router sweeps cannot grow
-  memory without limit.
-* **Predecessor-array extraction.**  Hop counts come from a per-source
-  depth vector over the shortest-path tree (computed once, cached for
-  interned sources), and link-stress / multicast-tree link sets come
-  from memoized walks up the predecessor array, visiting every router at
-  most once per tree merge.
+* ``dist`` / ``pred`` come from one all-source
+  :func:`scipy.sparse.csgraph.dijkstra` call; scipy solves each source
+  independently, so every row equals a single-source solve bit-for-bit.
+* ``hops`` is filled on the first hop query by one pass,
+  ``hops[s, t] = hops[s, pred[s, t]] + 1`` over targets in ascending
+  ``dist[s]`` order (valid because every link weight is positive).
 
-All distances are computed as ``access(a) + dist_row[router(b)] +
-access(b)`` in exactly the operand order of the scalar
-``peer_distance_ms`` path, so vectorized and scalar results agree
-bit-for-bit (asserted by ``tests/test_routing_core.py``).
-
-Cache behaviour is observable: hit/miss totals are kept as plain ints on
-the core *and* mirrored into ``routing.cache_hits`` /
-``routing.cache_misses`` counters of the process default
-:class:`~repro.obs.registry.Registry` whenever telemetry is enabled.
+The matrices are read-only; a graph over :data:`MATRIX_BUDGET_BYTES`
+raises ``ConfigurationError``.  Peer distances are always
+``access(a) + dist[ra, rb] + access(b)``, in that operand order.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from ..errors import RoutingError, TopologyError
+from ..errors import ConfigurationError, TopologyError
 from ..obs.profiler import phase_timer
-from ..obs.registry import get_default_registry
 
-#: Shared immutable empty vectors, handed out for empty bulk queries so
-#: callers never pay an allocation for a degenerate request.
+#: Shared read-only empty vectors returned by degenerate bulk queries.
 EMPTY_F64 = np.empty(0, dtype=np.float64)
 EMPTY_F64.flags.writeable = False
 EMPTY_INTP = np.empty(0, dtype=np.intp)
@@ -55,52 +33,49 @@ EMPTY_INTP.flags.writeable = False
 EMPTY_I64 = np.empty(0, dtype=np.int64)
 EMPTY_I64.flags.writeable = False
 
-#: Default bound on the ad-hoc (non-attached) source row cache.
-DEFAULT_LRU_ROWS = 128
+#: Memory budget for ``dist`` + ``pred`` + ``hops`` (8 bytes per entry
+#: each, counted conservatively): about 1,670 routers, 8x the default.
+MATRIX_BUDGET_BYTES = 64 * 2**20
 
 
 class RoutingCore:
-    """Bulk shortest-path state for one underlay router graph."""
+    """All-pairs shortest-path matrices for one underlay router graph."""
 
-    __slots__ = (
-        "_graph", "_n", "_router", "_access", "_max_peer",
-        "_interned", "_pending", "_lru", "_lru_rows", "_depth",
-        "cache_hits", "cache_misses", "bulk_solves", "single_solves",
-        "_registry", "_c_hits", "_c_misses",
-    )
+    __slots__ = ("dist", "pred", "_hops", "_router", "_access", "_max_peer",
+                 "lookups")
 
-    def __init__(self, graph, router_count: int,
-                 lru_rows: int = DEFAULT_LRU_ROWS) -> None:
-        if lru_rows < 1:
-            raise RoutingError("lru_rows must be >= 1")
-        self._graph = graph
-        self._n = router_count
+    def __init__(self, graph, router_count: int) -> None:
+        if 3 * 8 * router_count * router_count > MATRIX_BUDGET_BYTES:
+            raise ConfigurationError(
+                f"{router_count} routers exceed {MATRIX_BUDGET_BYTES} bytes")
+        with phase_timer("routing.solve"):
+            self.dist, self.pred = dijkstra(graph, directed=False,
+                                            return_predecessors=True)
+        self.dist.flags.writeable = False
+        self.pred.flags.writeable = False
+        self._hops: np.ndarray | None = None
         # Dense attachment vectors, grown geometrically; -1 = unattached.
         self._router = np.full(64, -1, dtype=np.intp)
         self._access = np.zeros(64, dtype=np.float64)
         self._max_peer = -1
-        # Interned rows: attached routers, solved in bulk, never evicted.
-        self._interned: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._pending: set[int] = set()
-        # Bounded LRU for sources that never had a peer attached.
-        self._lru: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = \
-            OrderedDict()
-        self._lru_rows = lru_rows
-        # Hop-depth vectors over the shortest-path tree, per source.
-        self._depth: dict[int, np.ndarray] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.bulk_solves = 0
-        self.single_solves = 0
-        self._registry = None
-        self._c_hits = None
-        self._c_misses = None
+        #: Peer lookups served (bulk calls plus scalar peer queries).
+        self.lookups = 0
 
-    # ------------------------------------------------------------------
-    # Attachments
-    # ------------------------------------------------------------------
+    @property
+    def hops(self) -> np.ndarray:
+        """``hops[s, t]``: links on the shortest path from ``s`` to ``t``."""
+        if self._hops is None:
+            hops = np.zeros(self.dist.shape, dtype=np.int64)
+            rows = np.arange(hops.shape[0])
+            # Column 0 of the ordering is each source itself (hops 0).
+            for targets in np.argsort(self.dist, axis=1).T[1:]:
+                hops[rows, targets] = hops[rows, self.pred[rows, targets]] + 1
+            hops.flags.writeable = False
+            self._hops = hops
+        return self._hops
+
     def attach(self, peer_id: int, router: int, access_ms: float) -> None:
-        """Register a peer attachment; interns its router lazily."""
+        """Register a peer attachment."""
         if peer_id < 0:
             raise TopologyError(f"peer ids must be non-negative: {peer_id}")
         if peer_id >= self._router.shape[0]:
@@ -114,8 +89,6 @@ class RoutingCore:
         self._access[peer_id] = access_ms
         if peer_id > self._max_peer:
             self._max_peer = peer_id
-        if router not in self._interned:
-            self._pending.add(router)
 
     def attach_info(
         self, peers: Sequence[int]
@@ -125,6 +98,7 @@ class RoutingCore:
         Raises :class:`~repro.errors.TopologyError` naming the first peer
         that is not attached, matching the scalar error path.
         """
+        self.lookups += 1
         idx = np.asarray(peers, dtype=np.intp)
         if idx.ndim != 1:
             idx = idx.reshape(-1)
@@ -141,134 +115,6 @@ class RoutingCore:
                 f"peer {int(idx[missing][0])} is not attached")
         return idx, routers, self._access[idx]
 
-    # ------------------------------------------------------------------
-    # Row store
-    # ------------------------------------------------------------------
-    def _count(self, hit: bool) -> None:
-        registry = get_default_registry()
-        if registry is not self._registry:
-            self._registry = registry
-            self._c_hits = registry.counter("routing.cache_hits")
-            self._c_misses = registry.counter("routing.cache_misses")
-        if hit:
-            self.cache_hits += 1
-            self._c_hits.inc()
-        else:
-            self.cache_misses += 1
-            self._c_misses.inc()
-
-    def _solve_pending(self) -> None:
-        with phase_timer("routing.bulk_solve"):
-            sources = sorted(self._pending)
-            dist, pred = dijkstra(self._graph, directed=False,
-                                  indices=sources,
-                                  return_predecessors=True)
-            for i, router in enumerate(sources):
-                self._interned[router] = (dist[i], pred[i])
-            self._pending.clear()
-            self.bulk_solves += 1
-
-    def rows_for(self, router: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(distances, predecessors)`` rows for one source router."""
-        if not 0 <= router < self._n:
-            raise RoutingError(f"unknown router {router}")
-        cached = self._interned.get(router)
-        if cached is not None:
-            self._count(hit=True)
-            return cached
-        cached = self._lru.get(router)
-        if cached is not None:
-            self._lru.move_to_end(router)
-            self._count(hit=True)
-            return cached
-        self._count(hit=False)
-        if router in self._pending:
-            self._solve_pending()
-            return self._interned[router]
-        with phase_timer("routing.single_solve"):
-            dist, pred = dijkstra(self._graph, directed=False,
-                                  indices=[router],
-                                  return_predecessors=True)
-            cached = (dist[0], pred[0])
-        self._lru[router] = cached
-        if len(self._lru) > self._lru_rows:
-            evicted, _ = self._lru.popitem(last=False)
-            self._depth.pop(evicted, None)
-        self.single_solves += 1
-        return cached
-
-    def depth_row(self, router: int) -> np.ndarray:
-        """Hops from ``router`` to every router along shortest paths."""
-        depth = self._depth.get(router)
-        if depth is not None:
-            return depth
-        _, pred = self.rows_for(router)
-        depth = np.full(self._n, -1, dtype=np.int64)
-        depth[router] = 0
-        stack: list[int] = []
-        for start in range(self._n):
-            if depth[start] >= 0:
-                continue
-            node = start
-            while depth[node] < 0:
-                stack.append(node)
-                parent = int(pred[node])
-                if parent < 0:
-                    break
-                node = parent
-            base = depth[node] if depth[node] >= 0 else 0
-            while stack:
-                base += 1
-                depth[stack.pop()] = base
-        # Only keep depth rows for sources whose dist/pred rows are kept
-        # forever; ad-hoc LRU sources would leak otherwise.
-        if router in self._interned or router in self._lru:
-            self._depth[router] = depth
-        return depth
-
-    # ------------------------------------------------------------------
-    # Bulk queries (router-level building blocks)
-    # ------------------------------------------------------------------
-    def distance_block(
-        self, src_routers: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(matrix, inverse)`` such that ``matrix[inverse[i]]`` is the
-        Dijkstra distance row of ``src_routers[i]``.
-
-        Rows of attached routers come from the interned bulk solve; any
-        remaining attached-but-pending routers are solved in one shot.
-        """
-        unique, inverse = np.unique(src_routers, return_inverse=True)
-        if self._pending.intersection(int(r) for r in unique):
-            self._solve_pending()
-        rows = [self.rows_for(int(r))[0] for r in unique]
-        return np.vstack(rows), inverse
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def interned_rows(self) -> int:
-        """Number of attached-router rows kept for the network lifetime."""
-        return len(self._interned)
-
-    @property
-    def lru_rows(self) -> int:
-        """Number of ad-hoc rows currently in the bounded cache."""
-        return len(self._lru)
-
-    @property
-    def lru_capacity(self) -> int:
-        """Upper bound on ad-hoc cached rows."""
-        return self._lru_rows
-
     def cache_stats(self) -> dict[str, int]:
-        """Plain-dict view of the row-cache counters."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "interned_rows": self.interned_rows,
-            "lru_rows": self.lru_rows,
-            "bulk_solves": self.bulk_solves,
-            "single_solves": self.single_solves,
-        }
+        """Peer lookups served; every one is a hit on the solved matrices."""
+        return {"hits": self.lookups, "misses": 0}

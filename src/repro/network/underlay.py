@@ -79,8 +79,6 @@ class UnderlayNetwork:
         if n_components != 1:
             raise TopologyError(
                 f"underlay is disconnected ({n_components} components)")
-        self._link_latency = {
-            (min(a, b), max(a, b)): w for a, b, w in edge_list}
         self._stub_router_ids = stub_router_ids
         self._peer_access_latency = peer_access_latency
         self._attachments: dict[int, Attachment] = {}
@@ -96,20 +94,21 @@ class UnderlayNetwork:
 
     @property
     def routing(self) -> RoutingCore:
-        """The shared routing core (row caches, bulk Dijkstra state)."""
+        """The shared routing core (all-pairs matrices, attachments)."""
         return self._core
 
     @property
     def link_count(self) -> int:
         """Number of undirected physical links."""
-        return len(self._link_latency)
+        return self._graph.nnz // 2
 
     def link_latency_ms(self, a: int, b: int) -> float:
         """Latency of the physical link between routers ``a`` and ``b``."""
-        try:
-            return self._link_latency[(min(a, b), max(a, b))]
-        except KeyError:
+        latency = float(
+            self._graph[self._check_router(a), self._check_router(b)])
+        if latency == 0.0:
             raise RoutingError(f"no physical link between {a} and {b}")
+        return latency
 
     # ------------------------------------------------------------------
     # Peer attachments
@@ -140,24 +139,22 @@ class UnderlayNetwork:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _routes_from(self, router: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._core.rows_for(router)
+    def _check_router(self, router: int) -> int:
+        if not 0 <= router < len(self.routers):
+            raise RoutingError(f"unknown router {router}")
+        return router
 
     def router_distance_ms(self, a: int, b: int) -> float:
         """Shortest-path latency between two routers."""
-        dist, _ = self._routes_from(a)
-        return float(dist[b])
+        return float(self._core.dist[self._check_router(a), b])
 
     def router_distances_from(self, router: int) -> np.ndarray:
-        """Vector of shortest-path latencies from ``router`` to all routers."""
-        dist, _ = self._routes_from(router)
-        return dist
+        """Read-only vector of shortest-path latencies from ``router``."""
+        return self._core.dist[self._check_router(router)]
 
     def router_path(self, a: int, b: int) -> list[int]:
         """Router sequence of the shortest path from ``a`` to ``b``."""
-        dist, pred = self._routes_from(a)
-        if not np.isfinite(dist[b]):
-            raise RoutingError(f"routers {a} and {b} are disconnected")
+        pred = self._core.pred[self._check_router(a)]
         path = [b]
         node = b
         while node != a:
@@ -175,17 +172,18 @@ class UnderlayNetwork:
         """End-to-end latency between two attached peers."""
         if a == b:
             return 0.0
+        self._core.lookups += 1
         att_a = self.attachment(a)
         att_b = self.attachment(b)
         return (att_a.access_latency_ms
-                + self.router_distance_ms(att_a.router_id, att_b.router_id)
+                + self._core.dist.item(att_a.router_id, att_b.router_id)
                 + att_b.access_latency_ms)
 
     def peer_distances_ms(self, peer_id: int,
                           others: Sequence[int]) -> np.ndarray:
         """Vector of end-to-end latencies from ``peer_id`` to ``others``.
 
-        A single numpy gather over the source's Dijkstra row replaces the
+        A single numpy gather over the source's distance row replaces the
         per-element :meth:`peer_distance_ms` arithmetic; entries equal to
         ``peer_id`` come out as exactly 0.0, matching the scalar path.
         An empty ``others`` returns a shared read-only empty float64
@@ -195,10 +193,10 @@ class UnderlayNetwork:
         if len(others) == 0:
             return EMPTY_F64
         idx, routers, access = self._core.attach_info(others)
-        dist, _ = self._routes_from(att.router_id)
         # Same operand order as peer_distance_ms, so results match
         # bit-for-bit: access(a) + router_distance + access(b).
-        out = att.access_latency_ms + dist[routers] + access
+        out = (att.access_latency_ms
+               + self._core.dist[att.router_id][routers] + access)
         self_mask = idx == peer_id
         if self_mask.any():
             out[self_mask] = 0.0
@@ -219,8 +217,7 @@ class UnderlayNetwork:
             return np.empty((len(peers), len(others)), dtype=np.float64)
         idx_a, routers_a, access_a = self._core.attach_info(peers)
         idx_b, routers_b, access_b = self._core.attach_info(others)
-        block, inverse = self._core.distance_block(routers_a)
-        gathered = block[inverse[:, None], routers_b[None, :]]
+        gathered = self._core.dist[np.ix_(routers_a, routers_b)]
         out = access_a[:, None] + gathered + access_b[None, :]
         self_mask = idx_a[:, None] == idx_b[None, :]
         if self_mask.any():
@@ -241,8 +238,7 @@ class UnderlayNetwork:
             return EMPTY_F64
         idx_a, routers_a, access_a = self._core.attach_info(peers_a)
         idx_b, routers_b, access_b = self._core.attach_info(peers_b)
-        block, inverse = self._core.distance_block(routers_a)
-        out = access_a + block[inverse, routers_b] + access_b
+        out = access_a + self._core.dist[routers_a, routers_b] + access_b
         self_mask = idx_a == idx_b
         if self_mask.any():
             out[self_mask] = 0.0
@@ -258,11 +254,11 @@ class UnderlayNetwork:
         """
         if a == b:
             return []
+        self._core.lookups += 1
         att_a = self.attachment(a)
         att_b = self.attachment(b)
-        _, pred = self._routes_from(att_a.router_id)
-        return self._links_between(a, att_a.router_id, b,
-                                   att_b.router_id, pred)
+        return self._links_between(a, att_a.router_id, b, att_b.router_id,
+                                   self._core.pred[att_a.router_id])
 
     def _links_between(self, a: int, router_a: int, b: int, router_b: int,
                        pred: np.ndarray) -> list[tuple[int, int]]:
@@ -284,7 +280,7 @@ class UnderlayNetwork:
     def peer_path_links_many(
         self, peer_id: int, others: Sequence[int]
     ) -> list[list[tuple[int, int]]]:
-        """Per-target :meth:`peer_path_links` lists, sharing one row fetch.
+        """Per-target :meth:`peer_path_links` lists over one predecessor row.
 
         Targets equal to ``peer_id`` yield an empty list, matching the
         scalar path.
@@ -293,7 +289,7 @@ class UnderlayNetwork:
         if len(others) == 0:
             return []
         idx, routers, _ = self._core.attach_info(others)
-        _, pred = self._routes_from(att.router_id)
+        pred = self._core.pred[att.router_id]
         out: list[list[tuple[int, int]]] = []
         for other, router in zip(idx.tolist(), routers.tolist()):
             if other == peer_id:
@@ -307,11 +303,11 @@ class UnderlayNetwork:
         """Number of physical links between two peers (0 if colocated)."""
         if a == b:
             return 0
+        self._core.lookups += 1
         att_a = self.attachment(a)
         att_b = self.attachment(b)
-        depth = self._core.depth_row(att_a.router_id)
         # Two access links plus the router-level shortest-path hops.
-        return int(depth[att_b.router_id]) + 2
+        return self._core.hops.item(att_a.router_id, att_b.router_id) + 2
 
     def peer_hop_counts(self, peer_id: int,
                         others: Sequence[int]) -> np.ndarray:
@@ -320,8 +316,7 @@ class UnderlayNetwork:
         if len(others) == 0:
             return EMPTY_I64
         idx, routers, _ = self._core.attach_info(others)
-        depth = self._core.depth_row(att.router_id)
-        out = depth[routers] + 2
+        out = self._core.hops[att.router_id][routers] + 2
         self_mask = idx == peer_id
         if self_mask.any():
             out[self_mask] = 0
@@ -343,7 +338,7 @@ class UnderlayNetwork:
         if (idx == source).any():
             raise TopologyError(
                 "multicast_links receivers must exclude the source")
-        _, pred = self._routes_from(att_s.router_id)
+        pred = self._core.pred[att_s.router_id]
         links: set[tuple[int, int]] = {(-source - 1, att_s.router_id)}
         for peer, router in zip(idx.tolist(), routers.tolist()):
             links.add((-peer - 1, router))

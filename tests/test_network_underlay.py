@@ -62,9 +62,30 @@ class TestRouting:
                     for u, v in zip(path, path[1:]))
         assert total == pytest.approx(underlay.router_distance_ms(a, b))
 
+    def test_link_latency_is_the_routed_weight(self):
+        # Seed 1 draws the same transit pair (0, 2) for both halves of
+        # the two-domain inter-domain ring, with different latencies;
+        # routing keeps the first copy, and so must link_latency_ms.
+        config = TransitStubConfig(
+            transit_domains=2,
+            transit_routers_per_domain=2,
+            stub_domains_per_transit=2,
+            routers_per_stub=3,
+        )
+        underlay = generate_transit_stub(
+            config, spawn_rng(1, "duplicate-ring"))
+        assert underlay.router_path(0, 2) == [0, 2]
+        assert (underlay.link_latency_ms(0, 2)
+                == underlay.router_distance_ms(0, 2))
+
     def test_unknown_router_rejected(self, underlay):
         with pytest.raises(RoutingError):
             underlay.router_distances_from(10_000)
+
+    def test_link_latency_rejects_out_of_range_routers(self, underlay):
+        for a, b in ((-1, 0), (0, -1), (0, underlay.router_count)):
+            with pytest.raises(RoutingError):
+                underlay.link_latency_ms(a, b)
 
     def test_missing_link_rejected(self, underlay):
         # Routers 0 and the last stub router are almost surely not adjacent.

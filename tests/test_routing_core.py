@@ -14,23 +14,23 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.config import TransitStubConfig
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.groupcast.dissemination import disseminate
 from repro.groupcast.spanning_tree import SpanningTree
 from repro.network.multicast import (
     _build_ip_multicast_tree_scalar,
     build_ip_multicast_tree,
 )
-from repro.network.routing import EMPTY_F64, EMPTY_I64, RoutingCore
-from repro.network.topology import generate_transit_stub
-from repro.network.underlay import UnderlayNetwork
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    enable_telemetry,
-    set_default_registry,
+from repro.network.routing import EMPTY_F64, EMPTY_I64
+from repro.network.topology import (
+    Router,
+    RouterLevel,
+    generate_transit_stub,
 )
+from repro.network.underlay import UnderlayNetwork
 from repro.sim.random import spawn_rng
 
 PEERS = 40
@@ -185,69 +185,77 @@ class TestEmptyQueries:
         assert attached.peer_pair_distances([], []) is EMPTY_F64
 
 
-class TestRowCache:
-    def _fresh_underlay(self, lru_rows: int) -> UnderlayNetwork:
-        config = TransitStubConfig(
-            transit_domains=2,
-            transit_routers_per_domain=2,
-            stub_domains_per_transit=2,
-            routers_per_stub=3,
-        )
-        underlay = generate_transit_stub(config, spawn_rng(41, "cache"))
-        underlay._core = RoutingCore(underlay._graph,
-                                     underlay.router_count,
-                                     lru_rows=lru_rows)
-        return underlay
+def _reference_depth_row(pred: np.ndarray, router: int) -> np.ndarray:
+    """Hop depths from ``router`` as first written: a Python walk up the
+    predecessor row, one stack per unvisited router."""
+    n = pred.shape[0]
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[router] = 0
+    stack: list[int] = []
+    for start in range(n):
+        if depth[start] >= 0:
+            continue
+        node = start
+        while depth[node] < 0:
+            stack.append(node)
+            parent = int(pred[node])
+            if parent < 0:
+                break
+            node = parent
+        base = depth[node] if depth[node] >= 0 else 0
+        while stack:
+            base += 1
+            depth[stack.pop()] = base
+    return depth
 
-    def test_lru_is_bounded(self):
-        underlay = self._fresh_underlay(lru_rows=4)
-        for router in range(underlay.router_count):
-            underlay.router_distances_from(router)
-        core = underlay.routing
-        assert core.lru_rows <= core.lru_capacity == 4
-        assert core.interned_rows == 0
 
-    def test_interned_rows_survive_ad_hoc_sweeps(self):
-        underlay = self._fresh_underlay(lru_rows=2)
-        rng = spawn_rng(42, "cache-attach")
-        for peer in range(6):
-            underlay.attach_peer(peer, rng)
-        underlay.peer_distances_ms(0, [1, 2, 3, 4, 5])
-        interned_before = underlay.routing.interned_rows
-        assert interned_before >= 1
-        for router in range(underlay.router_count):
-            underlay.router_distances_from(router)
-        assert underlay.routing.interned_rows == interned_before
-        # Interned sources are still cache hits after the sweep.
-        hits_before = underlay.routing.cache_hits
-        underlay.peer_distances_ms(0, [1, 2, 3])
-        assert underlay.routing.cache_hits == hits_before + 1
+def _default_underlay(seed: int) -> UnderlayNetwork:
+    return generate_transit_stub(TransitStubConfig(),
+                                 spawn_rng(seed, "dense-matrix"))
 
-    def test_cache_stats_counters_mirror_into_registry(self):
-        underlay = self._fresh_underlay(lru_rows=8)
-        rng = spawn_rng(43, "cache-attach")
-        for peer in range(4):
-            underlay.attach_peer(peer, rng)
-        registry = enable_telemetry()
-        try:
-            underlay.peer_distances_ms(0, [1, 2, 3])
-            underlay.peer_distances_ms(0, [1, 2, 3])
-            stats = underlay.routing.cache_stats()
-            assert stats["misses"] >= 1
-            assert stats["hits"] >= 1
-            assert (registry.get("routing.cache_misses").value
-                    == stats["misses"])
-            assert (registry.get("routing.cache_hits").value
-                    == stats["hits"])
-        finally:
-            set_default_registry(NULL_REGISTRY)
 
-    def test_bulk_solve_covers_attached_routers(self):
-        underlay = self._fresh_underlay(lru_rows=8)
-        rng = spawn_rng(44, "cache-attach")
-        for peer in range(10):
-            underlay.attach_peer(peer, rng)
-        underlay.peer_distance_matrix(list(range(10)))
-        core = underlay.routing
-        assert core.bulk_solves == 1
-        assert core.single_solves == 0
+class TestDenseMatrix:
+    def test_rows_match_single_source_solves(self):
+        for seed in range(10):
+            underlay = _default_underlay(seed)
+            core = underlay.routing
+            for source in range(underlay.router_count):
+                dist, pred = dijkstra(underlay._graph, directed=False,
+                                      indices=[source],
+                                      return_predecessors=True)
+                assert np.array_equal(core.dist[source], dist[0])
+                assert np.array_equal(core.pred[source], pred[0])
+
+    def test_hops_match_predecessor_walk(self):
+        for seed in range(3):
+            core = _default_underlay(seed).routing
+            for source in range(core.dist.shape[0]):
+                np.testing.assert_array_equal(
+                    core.hops[source],
+                    _reference_depth_row(core.pred[source], source))
+
+    def test_matrices_are_read_only(self, attached):
+        before = attached.router_distance_ms(0, 5)
+        row = attached.router_distances_from(0)
+        with pytest.raises(ValueError):
+            row[5] += 100.0
+        for matrix in (attached.routing.dist, attached.routing.pred,
+                       attached.routing.hops):
+            with pytest.raises(ValueError):
+                matrix[0, 5] = 0
+        assert attached.router_distance_ms(0, 5) == before
+
+    def test_oversized_router_graph_rejected(self):
+        n = 1700
+        routers = [Router(i, RouterLevel.STUB, 0) for i in range(n)]
+        ring = [(i, (i + 1) % n, 1.0) for i in range(n)]
+        with pytest.raises(ConfigurationError):
+            UnderlayNetwork(routers, ring, np.arange(n), (0.5, 3.0))
+
+    def test_cache_stats_counts_lookups_as_hits(self, attached):
+        before = attached.routing.cache_stats()
+        assert set(before) == {"hits", "misses"}
+        attached.peer_distance_ms(0, 1)
+        attached.peer_distances_ms(0, [1, 2, 3])
+        after = attached.routing.cache_stats()
+        assert after == {"hits": before["hits"] + 2, "misses": 0}
