@@ -17,7 +17,7 @@ path: same overlay, same seeds, equivalent trees and delivery delays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -107,14 +107,21 @@ class SessionTreeView:
     is_member: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class _GroupState:
+    """One peer's protocol state for one group.
+
+    Most peers an announcement reaches never gain a child or see a
+    payload, so ``children`` and ``seen_payloads`` stay None until their
+    first add instead of holding two empty sets per touched peer.
+    """
+
     upstream: int | None = None
     has_advertisement: bool = False
     on_tree: bool = False
     is_member: bool = False
-    children: set[int] = field(default_factory=set)
-    seen_payloads: set[int] = field(default_factory=set)
+    children: set[int] | None = None
+    seen_payloads: set[int] | None = None
     search_answered: bool = False
 
 
@@ -128,24 +135,19 @@ class GroupSessionNode:
 
     def state(self, group_id: int) -> _GroupState:
         """Per-group protocol state (created on first touch)."""
-        return self.groups.setdefault(group_id, _GroupState())
+        state = self.groups.get(group_id)
+        if state is None:
+            state = self.groups[group_id] = _GroupState()
+        return state
 
     # ------------------------------------------------------------------
     def handle(self, envelope: Envelope) -> None:
         """Dispatch one delivered message."""
         payload = envelope.payload
-        if isinstance(payload, Advertise):
-            self._on_advertise(envelope, payload)
-        elif isinstance(payload, Subscribe):
-            self._on_subscribe(envelope, payload)
-        elif isinstance(payload, Search):
-            self._on_search(envelope, payload)
-        elif isinstance(payload, SearchReply):
-            self._on_search_reply(envelope, payload)
-        elif isinstance(payload, Payload):
-            self._on_payload(envelope, payload)
-        else:  # pragma: no cover - future message types
+        handler = _HANDLERS.get(type(payload))
+        if handler is None:  # pragma: no cover - future message types
             raise GroupError(f"unknown message {payload!r}")
+        handler(self, envelope, payload)
 
     # ------------------------------------------------------------------
     def _episode_root(self, kind: str):
@@ -241,6 +243,8 @@ class GroupSessionNode:
     def _on_subscribe(self, envelope: Envelope,
                       message: Subscribe) -> None:
         state = self.state(message.group_id)
+        if state.children is None:
+            state.children = set()
         state.children.add(envelope.sender)
         if not state.on_tree:
             state.on_tree = True
@@ -284,6 +288,8 @@ class GroupSessionNode:
         if not state.is_member:
             raise GroupError(
                 f"peer {self.peer_id} is not a member of {group_id}")
+        if state.seen_payloads is None:
+            state.seen_payloads = set()
         state.seen_payloads.add(payload_id)
         transport = self.coordinator.transport
         self.coordinator.record_delivery(
@@ -295,7 +301,9 @@ class GroupSessionNode:
 
     def _on_payload(self, envelope: Envelope, message: Payload) -> None:
         state = self.state(message.group_id)
-        if message.payload_id in state.seen_payloads:
+        if state.seen_payloads is None:
+            state.seen_payloads = set()
+        elif message.payload_id in state.seen_payloads:
             return
         state.seen_payloads.add(message.payload_id)
         self.coordinator.record_delivery(
@@ -306,7 +314,7 @@ class GroupSessionNode:
     def _flood(self, group_id: int, message: Payload,
                exclude: int | None) -> None:
         state = self.state(group_id)
-        links = set(state.children)
+        links = set(state.children or ())
         if state.upstream is not None and state.on_tree:
             links.add(state.upstream)
         links.discard(exclude)
@@ -314,6 +322,17 @@ class GroupSessionNode:
         for link in links:
             self.coordinator.transport.send(
                 self.peer_id, link, message, MessageKind.PAYLOAD)
+
+
+#: Message handlers keyed by wire type: one dict lookup per delivery
+#: instead of an ``isinstance`` chain.
+_HANDLERS = {
+    Advertise: GroupSessionNode._on_advertise,
+    Subscribe: GroupSessionNode._on_subscribe,
+    Search: GroupSessionNode._on_search,
+    SearchReply: GroupSessionNode._on_search_reply,
+    Payload: GroupSessionNode._on_payload,
+}
 
 
 # ----------------------------------------------------------------------

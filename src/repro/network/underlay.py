@@ -172,11 +172,18 @@ class UnderlayNetwork:
         """End-to-end latency between two attached peers."""
         if a == b:
             return 0.0
-        self._core.lookups += 1
-        att_a = self.attachment(a)
-        att_b = self.attachment(b)
+        core = self._core
+        core.lookups += 1
+        # Inline dict reads rather than two attachment() calls: this
+        # runs once per simulated message.
+        try:
+            att_a = self._attachments[a]
+            att_b = self._attachments[b]
+        except KeyError as missing:
+            raise TopologyError(
+                f"peer {missing.args[0]} is not attached") from None
         return (att_a.access_latency_ms
-                + self._core.dist.item(att_a.router_id, att_b.router_id)
+                + core.dist.item(att_a.router_id, att_b.router_id)
                 + att_b.access_latency_ms)
 
     def peer_distances_ms(self, peer_id: int,

@@ -54,26 +54,31 @@ SUBSCRIPTION_KINDS = frozenset({
 
 
 class MessageStats:
-    """Counter of messages sent, by kind."""
+    """Counter of messages sent, by kind.
+
+    Counts are keyed by the kind's string value: a str hash is cached
+    and computed in C, while ``Enum.__hash__`` is a Python-level call,
+    and :meth:`record` runs once per simulated message.
+    """
 
     def __init__(self) -> None:
-        self._counts: Counter[MessageKind] = Counter()
+        self._counts: Counter[str] = Counter()
 
     def record(self, kind: MessageKind, count: int = 1) -> None:
         """Record ``count`` messages of ``kind``."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        self._counts[kind] += count
+        self._counts[kind._value_] += count
 
     def count(self, kind: MessageKind) -> int:
         """Messages of a single kind."""
-        return self._counts[kind]
+        return self._counts[kind._value_]
 
     def total(self, kinds: Iterable[MessageKind] | None = None) -> int:
         """Total messages, optionally restricted to ``kinds``."""
         if kinds is None:
             return sum(self._counts.values())
-        return sum(self._counts[k] for k in kinds)
+        return sum(self._counts[k._value_] for k in kinds)
 
     def merge(self, other: "MessageStats") -> None:
         """Fold another ledger into this one."""
@@ -81,7 +86,7 @@ class MessageStats:
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict view, keyed by kind value."""
-        return {kind.value: count for kind, count in self._counts.items()}
+        return dict(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageStats({self.snapshot()})"

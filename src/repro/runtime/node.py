@@ -157,7 +157,7 @@ class PeerRuntime:
              state.upstream if state.upstream is not None else -1,
              int(state.on_tree),
              int(state.is_member),
-             len(state.children))
+             len(state.children or ()))
             for group_id, state in sorted(self.node.groups.items()))
         ages = tuple(
             (peer_id, float(now_ms - at_ms))

@@ -10,7 +10,7 @@ sure they never reach the protocol state machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..sim.messaging import Envelope
 from .guards import (
@@ -63,4 +63,4 @@ class GuardedNode:
             # protocols; what matters is the payload's authenticity.
             pass
         self.accepted += 1
-        self.inner_handler(replace(envelope, payload=message.payload))
+        self.inner_handler(envelope._replace(payload=message.payload))

@@ -4,7 +4,12 @@ The paper evaluates GroupCast on an extended Java version of the p-sim
 discrete event simulator; this module is our Python equivalent.  The engine
 is a classic calendar queue built on :mod:`heapq`:
 
-* :class:`Event` couples a firing time with a zero-argument callback.
+* Heap entries are plain ``[time, sequence, fn, arg]`` lists, so every
+  heap comparison runs in C; firing an entry calls ``fn(arg)`` (or
+  ``fn()`` for a zero-argument timer).
+* :class:`Event` is the cancellable handle ``schedule`` returns over one
+  entry.  Message deliveries go through :meth:`Simulator.schedule_call`,
+  which pushes ``(fn, arg)`` with no closure and no handle.
 * :class:`Simulator` owns the virtual clock and the pending-event heap.
   ``schedule`` inserts events, ``run`` drains the heap in timestamp order.
 
@@ -25,29 +30,45 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..errors import SimulationError
 from ..obs.tracer import KIND_FIRE, KIND_SCHEDULE, Tracer
 
+#: ``arg`` slot of an entry whose callable takes no argument.
+_NO_ARG = object()
 
-@dataclass(order=True, slots=True)
+
 class Event:
-    """A pending callback, ordered by ``(time, sequence)``.
+    """Cancellable handle over one heap entry ``[time, sequence, fn, arg]``.
 
-    ``slots=True`` keeps events dict-free: ``schedule()`` is the hottest
-    engine call and allocates one of these per message hop.
+    Cancelling clears the entry's callable in place (lazy deletion): the
+    entry stays queued and the drain loop skips it when it surfaces.
     """
 
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
+
+    @property
+    def time(self) -> float:
+        """Virtual firing time in milliseconds."""
+        return self._entry[0]
+
+    @property
+    def sequence(self) -> int:
+        """Insertion sequence number (the tie-breaker)."""
+        return self._entry[1]
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` has been called."""
+        return self._entry[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing; cheap lazy deletion."""
-        self.cancelled = True
+        self._entry[2] = None
 
 
 class Simulator:
@@ -67,7 +88,7 @@ class Simulator:
     def __init__(self, tracer: Optional[Tracer] = None,
                  profiler=None, topology=None) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[list] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self.tracer = tracer
@@ -106,24 +127,27 @@ class Simulator:
         observable.
         """
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2] is None:
             heapq.heappop(heap)
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
+
+    def _push(self, time_ms: float, fn: Callable, arg: object) -> list:
+        entry = [time_ms, next(self._sequence), fn, arg]
+        heapq.heappush(self._heap, entry)
+        tracer = self.tracer
+        if tracer is not None:
+            # repr(time_ms) is only formatted when a tracer is actually
+            # capturing; with telemetry disabled the schedule fast path
+            # does no string work at all.
+            tracer.record(self._now, KIND_SCHEDULE,
+                          seq=entry[1], detail=repr(time_ms))
+        return entry
 
     def schedule(self, delay_ms: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to fire ``delay_ms`` after the current time."""
         if delay_ms < 0.0:
             raise SimulationError(f"cannot schedule in the past: {delay_ms}")
-        event = Event(self._now + delay_ms, next(self._sequence), action)
-        heapq.heappush(self._heap, event)
-        tracer = self.tracer
-        if tracer is not None:
-            # repr(event.time) is only formatted when a tracer is
-            # actually capturing; with telemetry disabled the schedule
-            # fast path does no string work at all.
-            tracer.record(self._now, KIND_SCHEDULE,
-                          seq=event.sequence, detail=repr(event.time))
-        return event
+        return Event(self._push(self._now + delay_ms, action, _NO_ARG))
 
     def schedule_at(self, time_ms: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at absolute virtual time ``time_ms``."""
@@ -131,21 +155,27 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ms} before current time {self._now}"
             )
-        event = Event(time_ms, next(self._sequence), action)
-        heapq.heappush(self._heap, event)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(self._now, KIND_SCHEDULE,
-                          seq=event.sequence, detail=repr(event.time))
-        return event
+        return Event(self._push(time_ms, action, _NO_ARG))
+
+    def schedule_call(self, delay_ms: float, fn: Callable[[object], None],
+                      arg: object) -> None:
+        """Schedule ``fn(arg)`` after ``delay_ms``; not cancellable.
+
+        The message-delivery path: no closure and no :class:`Event`
+        handle are allocated, and the entry takes the same sequence
+        number and trace record a :meth:`schedule` call would.
+        """
+        if delay_ms < 0.0:
+            raise SimulationError(f"cannot schedule in the past: {delay_ms}")
+        self._push(self._now + delay_ms, fn, arg)
 
     def every(self, interval_ms: float,
               callback: Callable[[], None]) -> Event:
         """Invoke ``callback`` every ``interval_ms`` of virtual time.
 
-        The checkpoint chain re-arms itself only while *other* events
-        remain queued, so it never keeps an otherwise-drained simulation
-        alive: once the heap is empty after a tick, the chain stops.
+        The checkpoint chain re-arms itself only while another *live*
+        event remains queued, so it never keeps an otherwise-drained
+        simulation alive — lazily cancelled timers do not count.
         Used by the fault-injection harness to evaluate invariant
         suites at a fixed cadence (:class:`repro.faults.invariants.
         InvariantSuite.attach`).
@@ -155,7 +185,7 @@ class Simulator:
 
         def tick() -> None:
             callback()
-            if self._heap:
+            if self.next_event_time() is not None:
                 self.schedule(interval_ms, tick)
 
         return self.schedule(interval_ms, tick)
@@ -165,13 +195,19 @@ class Simulator:
         """Drain the event heap in timestamp order.
 
         ``until`` stops the clock at the given virtual time (events scheduled
-        later stay queued); ``max_events`` bounds the number of callbacks as
-        a runaway guard.
+        later stay queued; it must not lie before :attr:`now`);
+        ``max_events`` bounds the number of callbacks as a runaway guard.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} before current time {self._now}")
+        heap = self._heap
+        heappop = heapq.heappop
         processed = 0
-        while self._heap:
-            event = self._heap[0]
-            if until is not None and event.time > until:
+        while heap:
+            entry = heap[0]
+            time = entry[0]
+            if until is not None and time > until:
                 self._now = until
                 profiler = self.profiler
                 if profiler is not None:
@@ -180,30 +216,34 @@ class Simulator:
                 if topology is not None:
                     topology.on_advance(until)
                 return
-            heapq.heappop(self._heap)
-            if event.cancelled:
+            heappop(heap)
+            fn = entry[2]
+            if fn is None:
                 continue
-            if event.time < self._now:
+            if time < self._now:
                 raise SimulationError("event heap yielded a past event")
-            self._now = event.time
+            self._now = time
             if self.tracer is not None:
-                self.tracer.record(event.time, KIND_FIRE, seq=event.sequence)
+                self.tracer.record(time, KIND_FIRE, seq=entry[1])
             topology = self.topology
             if topology is not None:
-                topology.on_advance(event.time)
+                topology.on_advance(time)
+            arg = entry[3]
             profiler = self.profiler
             if profiler is not None:
-                profiler.on_advance(event.time)
+                profiler.on_advance(time)
                 with profiler.phase("engine.dispatch"):
-                    event.action()
+                    fn() if arg is _NO_ARG else fn(arg)
+            elif arg is _NO_ARG:
+                fn()
             else:
-                event.action()
+                fn(arg)
             self._events_processed += 1
             processed += 1
             if max_events is not None and processed >= max_events:
                 return
         if until is not None:
-            self._now = max(self._now, until)
+            self._now = until
 
     def run_epoch(self, epoch_ms: float) -> tuple[float, int] | None:
         """Dispatch every event inside the next virtual-time epoch.
@@ -239,25 +279,6 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next event; return False if the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if event.time < self._now:
-                raise SimulationError("event heap yielded a past event")
-            self._now = event.time
-            if self.tracer is not None:
-                self.tracer.record(event.time, KIND_FIRE, seq=event.sequence)
-            topology = self.topology
-            if topology is not None:
-                topology.on_advance(event.time)
-            profiler = self.profiler
-            if profiler is not None:
-                profiler.on_advance(event.time)
-                with profiler.phase("engine.dispatch"):
-                    event.action()
-            else:
-                event.action()
-            self._events_processed += 1
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before

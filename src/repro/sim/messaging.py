@@ -13,8 +13,7 @@ the test suite cross-validates it against the procedural fast path.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from ..errors import SimulationError
 from ..obs.registry import Counter, Registry
@@ -34,9 +33,8 @@ from .random import RandomSource
 LatencyFn = Callable[[int, int], float]
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """One delivered message."""
+class Envelope(NamedTuple):
+    """One delivered message (a tuple: built once per message hop)."""
 
     sender: int
     recipient: int
@@ -102,9 +100,9 @@ class MessageNetwork:
         self._c_delivered = self.registry.counter("net.delivered")
         self._c_lost = self.registry.counter("net.lost")
         self._c_dead = self.registry.counter("net.dead_lettered")
-        self._kind_counters: dict[MessageKind, Counter] = {}
-        self._loss_kind_counters: dict[MessageKind, Counter] = {}
-        self._dead_kind_counters: dict[MessageKind, Counter] = {}
+        #: ``messages.<kind>`` counters keyed by kind value: a str key
+        #: hashes in C, an enum member through ``Enum.__hash__``.
+        self._kind_counters: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # Transport counters (registry-backed; attributes kept as properties
@@ -185,28 +183,6 @@ class MessageNetwork:
                 - self.delivered - self.lost - self.dead_lettered
                 - injected_drops - self._pending)
 
-    def _kind_counter(self, kind: MessageKind) -> Counter:
-        counter = self._kind_counters.get(kind)
-        if counter is None:
-            counter = self.registry.counter(f"messages.{kind.value}")
-            self._kind_counters[kind] = counter
-        return counter
-
-    def _loss_kind_counter(self, kind: MessageKind) -> Counter:
-        counter = self._loss_kind_counters.get(kind)
-        if counter is None:
-            counter = self.registry.counter(f"net.lost.{kind.value}")
-            self._loss_kind_counters[kind] = counter
-        return counter
-
-    def _dead_kind_counter(self, kind: MessageKind) -> Counter:
-        counter = self._dead_kind_counters.get(kind)
-        if counter is None:
-            counter = self.registry.counter(
-                f"net.dead_lettered.{kind.value}")
-            self._dead_kind_counters[kind] = counter
-        return counter
-
     # ------------------------------------------------------------------
     @contextmanager
     def span_scope(self, span: Optional[SpanContext]) -> Iterator[None]:
@@ -253,25 +229,29 @@ class MessageNetwork:
         if sender == recipient:
             raise SimulationError("peers do not message themselves")
         self._c_sent.inc()
-        detail = ""
         if kind is not None:
             self.stats.record(kind)
-            self._kind_counter(kind).inc()
-            detail = kind.value
+            value = kind._value_
+            counter = self._kind_counters.get(value)
+            if counter is None:
+                counter = self._kind_counters[value] = \
+                    self.registry.counter(f"messages.{value}")
+            counter.inc()
+        tracer = self.tracer
         span = None
-        if self.tracer is not None:
-            span = self.tracer.child_span(self.current_span)
-            self.tracer.record(self.simulator.now, KIND_SEND,
-                               a=sender, b=recipient, detail=detail,
-                               span=span)
+        if tracer is not None:
+            detail = kind._value_ if kind is not None else ""
+            span = tracer.child_span(self.current_span)
+            tracer.record(self.simulator.now, KIND_SEND,
+                          a=sender, b=recipient, detail=detail, span=span)
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self._c_lost.inc()
             if kind is not None:
-                self._loss_kind_counter(kind).inc()
-            if self.tracer is not None:
-                self.tracer.record(self.simulator.now, KIND_LOST,
-                                   a=sender, b=recipient, detail=detail,
-                                   span=span)
+                self.registry.counter(f"net.lost.{kind._value_}").inc()
+            if tracer is not None:
+                tracer.record(self.simulator.now, KIND_LOST,
+                              a=sender, b=recipient, detail=detail,
+                              span=span)
             return
         latency = self.latency_fn(sender, recipient)
         if latency < 0.0:
@@ -293,18 +273,13 @@ class MessageNetwork:
                           span: SpanContext | None = None) -> None:
         """Schedule one delivery after ``latency_ms`` (injector entry
         point for duplicates; does not touch the send-side counters)."""
-        sent_at = self.simulator.now
-        envelope = Envelope(
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            sent_at_ms=sent_at,
-            delivered_at_ms=sent_at + latency_ms,
-            kind=kind,
-            span=span,
-        )
+        simulator = self.simulator
+        sent_at = simulator.now
         self._pending += 1
-        self.simulator.schedule(latency_ms, lambda: self._deliver(envelope))
+        simulator.schedule_call(
+            latency_ms, self._deliver,
+            Envelope(sender, recipient, payload, sent_at,
+                     sent_at + latency_ms, kind, span))
 
     def broadcast(self, sender: int, recipients: list[int],
                   payload: object, kind: MessageKind | None = None) -> None:
@@ -315,21 +290,24 @@ class MessageNetwork:
     def _deliver(self, envelope: Envelope) -> None:
         self._pending -= 1
         handler = self._handlers.get(envelope.recipient)
-        detail = envelope.kind.value if envelope.kind is not None else ""
+        tracer = self.tracer
         if handler is None:
+            kind = envelope.kind
             self._c_dead.inc()
-            if envelope.kind is not None:
-                self._dead_kind_counter(envelope.kind).inc()
-            if self.tracer is not None:
-                self.tracer.record(envelope.delivered_at_ms, KIND_DEAD_LETTER,
-                                   a=envelope.sender, b=envelope.recipient,
-                                   detail=detail, span=envelope.span)
+            if kind is not None:
+                self.registry.counter(
+                    f"net.dead_lettered.{kind._value_}").inc()
+            if tracer is not None:
+                tracer.record(envelope.delivered_at_ms, KIND_DEAD_LETTER,
+                              a=envelope.sender, b=envelope.recipient,
+                              detail=kind._value_ if kind is not None
+                              else "", span=envelope.span)
             return
         self._c_delivered.inc()
-        if self.tracer is not None:
-            self.tracer.record(envelope.delivered_at_ms, KIND_DELIVER,
-                               a=envelope.sender, b=envelope.recipient,
-                               span=envelope.span)
+        if tracer is not None:
+            tracer.record(envelope.delivered_at_ms, KIND_DELIVER,
+                          a=envelope.sender, b=envelope.recipient,
+                          span=envelope.span)
         # The handler runs with the delivered message's span as the
         # ambient parent, so any sends it performs chain causally.
         previous = self.current_span

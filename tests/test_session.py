@@ -1,10 +1,14 @@
 """Tests for the event-driven protocol session (messaging + agents)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.config import AnnouncementConfig
+from repro.deployment import build_deployment
 from repro.errors import GroupError, SimulationError
+from repro.groupcast import session as session_module
 from repro.groupcast.session import GroupSession
 from repro.overlay.graph import OverlayNetwork
 from repro.overlay.messages import MessageKind
@@ -12,6 +16,8 @@ from repro.peers.peer import PeerInfo
 from repro.sim.engine import Simulator
 from repro.sim.messaging import MessageNetwork
 from repro.sim.random import spawn_rng
+
+from .conftest import SMALL_CONFIG
 
 
 def make_overlay(edges):
@@ -280,3 +286,47 @@ class TestLossyTransport:
         delays = session.publish(1, source=deployment.peer_ids()[0])
         # Payload loss prunes some branches; most members still receive.
         assert len(delays) >= 0.7 * len(on_tree)
+
+
+class TestStateDiet:
+    """Per-group node state holds only what the peer's role needs."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        deployment = build_deployment(300, kind="groupcast",
+                                      config=SMALL_CONFIG)
+        session = GroupSession(
+            deployment.overlay, deployment.peer_distance_ms,
+            spawn_rng(3, "diet"),
+            announcement=deployment.config.announcement,
+            utility=deployment.config.utility)
+        ids = deployment.peer_ids()
+        session.establish(1, rendezvous=ids[0], members=ids[1:30],
+                          scheme="nssa")
+        return session
+
+    def test_advertisement_only_peers_hold_no_sets(self, session):
+        assert session.duplicates > 0
+        bystanders = [
+            node.groups[1] for node in session.nodes.values()
+            if 1 in node.groups and node.groups[1].has_advertisement
+            and not node.groups[1].on_tree]
+        assert bystanders
+        for state in bystanders:
+            assert not any(isinstance(getattr(state, f.name), set)
+                           for f in fields(state))
+
+    def test_state_of_a_known_group_allocates_nothing(self, session,
+                                                      monkeypatch):
+        built = []
+        real = session_module._GroupState
+        monkeypatch.setattr(session_module, "_GroupState",
+                            lambda: built.append(1) or real())
+        touched = [node for node in session.nodes.values()
+                   if 1 in node.groups]
+        for node in touched:
+            state = node.groups[1]
+            assert node.state(1) is state
+        assert built == []
+        touched[0].state(2)  # first touch of a new group still builds one
+        assert len(built) == 1
