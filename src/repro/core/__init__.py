@@ -21,9 +21,10 @@ state in dense numpy arrays instead, keyed by *stable peer indices*:
   :class:`CSRGraph` per epoch pass;
 * :mod:`.protocol` — the same kernels called with one group and 1-D
   results, plus the ripple-search stand-in and the synthetic overlay;
-* :mod:`.parallel` — the sharded executor: deterministic group shards
-  over a shared-memory world, merged in shard order so results are
-  bit-identical for any worker count.
+* :mod:`.parallel` — the one process pool (:func:`run_points`) and the
+  sharded executor mapped through it: deterministic group shards,
+  merged in shard order so results are bit-identical for any worker
+  count.
 
 Index lifecycle contract: a peer keeps its array row for the lifetime of
 the store — join always allocates a *fresh* row and leave/crash only
@@ -44,7 +45,6 @@ from .multigroup import (
 from .overlay_view import SoAOverlayNetwork
 from .parallel import (
     GroupPassResult,
-    SharedWorld,
     merge_results,
     run_group_pass,
     run_group_pass_loop,
@@ -84,7 +84,6 @@ __all__ = [
     "group_depths_batch",
     "group_delay_cells_batch",
     "GroupPassResult",
-    "SharedWorld",
     "merge_results",
     "shard_bounds",
     "run_group_pass",

@@ -17,7 +17,7 @@ Three containers, increasing in rigidity:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,25 +81,6 @@ class PeerArrays:
         self.alive[index] = True
         self._count = index + 1
         return index
-
-    def add_bulk(self, capacities: np.ndarray,
-                 coordinates: np.ndarray) -> np.ndarray:
-        """Append many peers at once; returns their row indices."""
-        capacities = np.asarray(capacities, dtype=np.float64)
-        coordinates = np.asarray(coordinates, dtype=np.float64)
-        if capacities.ndim != 1 or coordinates.shape != (
-                capacities.shape[0], self._dims):
-            raise OverlayError("bulk shapes disagree")
-        if (capacities <= 0.0).any():
-            raise OverlayError("capacity must be positive")
-        start = self._count
-        count = capacities.shape[0]
-        self._grow_to(start + count)
-        self.capacity[start:start + count] = capacities
-        self.coords[start:start + count] = coordinates
-        self.alive[start:start + count] = True
-        self._count = start + count
-        return np.arange(start, start + count, dtype=np.int64)
 
     def mark_dead(self, index: int) -> None:
         """Retire a row; it is never reallocated to another peer."""
@@ -357,11 +338,6 @@ class CSRGraph:
         """Row owning each entry of ``indices`` (repeat-expanded)."""
         return np.repeat(np.arange(self.node_count, dtype=np.int64),
                          np.diff(self.indptr))
-
-    def iter_rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Iterate ``(row, neighbor slice)`` pairs."""
-        for row in range(self.node_count):
-            yield row, self.neighbors(row)
 
     # ------------------------------------------------------------------
     def bfs_hops(self, roots: Sequence[int],

@@ -255,16 +255,6 @@ class SoAOverlayNetwork:
             best = max(best, max(dist.values()))
         return best
 
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (capacity as node attribute)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for peer_id in self.peer_ids():
-            graph.add_node(peer_id, capacity=self.peer(peer_id).capacity)
-        graph.add_edges_from(self.edges())
-        return graph
-
     # ------------------------------------------------------------------
     # Array interop (scale path)
     # ------------------------------------------------------------------

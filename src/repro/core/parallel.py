@@ -1,36 +1,40 @@
-"""Sharded multi-group epoch execution over shared-memory world state.
+"""The one process pool, and the sharded multi-group pass that uses it.
 
-One overlay snapshot serves every group, so the only thing a worker
-needs besides its shard's group slice is the read-only world: CSR
-adjacency, per-edge latencies, peer coordinates/capacities and the
-packed group rosters.  :class:`SharedWorld` publishes those arrays once
-through :mod:`multiprocessing.shared_memory`; workers attach zero-copy,
-read-only views, run the batched kernels of
-:mod:`repro.core.multigroup` over their shard, and ship back only the
-small per-group metric columns.
+:func:`run_points` maps a module-level function over argument tuples
+and returns the results in submission order, so the paper's sweeps over
+independent *(size, topology)* points (Figures 11-17) and the group
+shards of :func:`run_sharded` give byte-identical results for any
+``jobs`` value.  With the default :class:`~repro.obs.registry.Registry`
+enabled, every point runs under a fresh registry whose state is folded
+back in point order, so telemetry totals do not depend on ``jobs``.
 
-Determinism contract: shards are deterministic contiguous slices of the
-group order, per-group results are bit-identical for any batch
-composition (see :mod:`repro.core.multigroup`), and the parent merges
-shard results **in shard order** — so metrics and the merged digest are
-identical for any ``shards``/``jobs`` combination, including the inline
-``jobs=1`` path (the same submission-order convention as
-:func:`repro.experiments.parallel.run_points`, whose fork context the
-pool reuses).
+:func:`run_sharded` cuts a multi-group pass into contiguous group
+shards (:func:`shard_bounds`).  Each shard's point carries the read-only
+world (CSR adjacency, edge latencies, coordinates) and its slice of the
+packed rosters, and returns only small per-group metric columns.
+Per-group results are bit-identical for any batch composition, SSA
+streams are keyed by the *global* group index, and shards merge in
+order, so every ``shards``/``jobs`` combination gives the same digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..errors import GroupError
+from ..obs.registry import (
+    NULL_REGISTRY,
+    enable_telemetry,
+    get_default_registry,
+    set_default_registry,
+)
 from ..sim.random import spawn_rng
-from ..experiments.parallel import pool_context
 from .arrays import CSRGraph
 from .multigroup import (
     climb_subscriptions_batch,
@@ -40,12 +44,82 @@ from .multigroup import (
     tree_delays_batch,
 )
 
-#: Arrays a :class:`SharedWorld` publishes, in a fixed order so the
-#: picklable handle stays a plain tuple of (name, shape, dtype) specs.
-_WORLD_FIELDS = ("indptr", "indices", "latency", "coords", "capacities",
-                 "roots", "member_rows", "member_indptr")
+
+# ----------------------------------------------------------------------
+# The process pool
+# ----------------------------------------------------------------------
+def _run_in_worker(payload: tuple) -> tuple[Any, dict | None]:
+    """Execute one point, optionally under a fresh registry."""
+    func, args, telemetry = payload
+    if not telemetry:
+        return func(*args), None
+    registry = enable_telemetry()
+    try:
+        value = func(*args)
+        state = registry.dump_state()
+    finally:
+        set_default_registry(NULL_REGISTRY)
+    return value, state
 
 
+def pool_context():
+    """The multiprocessing context used for pool workers.
+
+    ``fork`` (where available) shares the already-imported scientific
+    stack with workers instead of re-importing it per process; other
+    platforms fall back to their default start method.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+def run_points(func: Callable, arg_tuples: Sequence[tuple],
+               jobs: int = 1) -> list:
+    """Map ``func`` over ``arg_tuples``, optionally across processes.
+
+    ``func`` must be a module-level (picklable) callable; results come
+    back in the order of ``arg_tuples`` regardless of which worker
+    finished first.  ``jobs <= 1`` (or a single point) runs inline.
+    """
+    jobs = max(1, int(jobs))
+    arg_tuples = [tuple(args) for args in arg_tuples]
+    registry = get_default_registry()
+    telemetry = registry.enabled
+    if jobs == 1 or len(arg_tuples) <= 1:
+        if not telemetry:
+            return [func(*args) for args in arg_tuples]
+        # Run each point under its own registry and fold the states in
+        # point order — the same float-summation grouping as the pool
+        # path, so histogram sums are bit-identical for any jobs value.
+        values = []
+        for args in arg_tuples:
+            point_registry = enable_telemetry()
+            try:
+                value = func(*args)
+                state = point_registry.dump_state()
+            finally:
+                set_default_registry(registry)
+            registry.merge_state(state)
+            values.append(value)
+        return values
+    payloads = [(func, args, telemetry) for args in arg_tuples]
+    workers = min(jobs, len(payloads))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=pool_context()) as pool:
+        outcomes = list(pool.map(_run_in_worker, payloads))
+    values = []
+    for value, state in outcomes:
+        if state:
+            registry.merge_state(state)
+        values.append(value)
+    return values
+
+
+# ----------------------------------------------------------------------
+# Multi-group epoch passes
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GroupPassResult:
     """Per-group outcome columns of one multi-group epoch pass.
@@ -197,15 +271,24 @@ def run_group_pass(csr: CSRGraph, latency: np.ndarray,
                          dims_layout)
 
 
-def _run_slice(csr, latency, coords, roots, member_rows, member_indptr,
-               lo: int, hi: int, group_offset: int = 0,
-               **kwargs) -> GroupPassResult:
-    """:func:`run_group_pass` over groups ``[lo, hi)`` of a packed set."""
-    return run_group_pass(
-        csr, latency, coords, roots[lo:hi],
-        member_rows[member_indptr[lo]:member_indptr[hi]],
-        member_indptr[lo:hi + 1] - member_indptr[lo],
-        group_offset=group_offset + lo, **kwargs)
+def _slice_points(csr, latency, coords, roots, member_rows,
+                  member_indptr, bounds, group_offset: int,
+                  kwargs: dict) -> list[tuple]:
+    """One :func:`_run_point` argument tuple per group slice ``[lo, hi)``
+    of a packed group set, its roster rebased to start at zero."""
+    return [(csr, latency, coords, roots[lo:hi],
+             member_rows[member_indptr[lo]:member_indptr[hi]],
+             member_indptr[lo:hi + 1] - member_indptr[lo],
+             group_offset + lo, kwargs)
+            for lo, hi in bounds]
+
+
+def _run_point(csr, latency, coords, roots, member_rows, member_indptr,
+               group_offset: int, kwargs: dict) -> GroupPassResult:
+    """:func:`run_group_pass` over one sliced point (the pool body)."""
+    return run_group_pass(csr, latency, coords, roots, member_rows,
+                          member_indptr, group_offset=group_offset,
+                          **kwargs)
 
 
 def run_group_pass_loop(csr: CSRGraph, latency: np.ndarray,
@@ -222,117 +305,13 @@ def run_group_pass_loop(csr: CSRGraph, latency: np.ndarray,
     Pins batch-composition invariance, which the sharded executor
     relies on; the benchmark measures what batching amortizes.
     """
+    kwargs = {"ttl": ttl, "scheme": scheme, "capacities": capacities,
+              "ssa_seed": ssa_seed, "dims_layout": dims_layout}
+    bounds = [(g, g + 1) for g in range(roots.shape[0])]
     return merge_results([
-        _run_slice(csr, latency, coords, roots, member_rows,
-                   member_indptr, g, g + 1, group_offset, ttl=ttl,
-                   scheme=scheme, capacities=capacities,
-                   ssa_seed=ssa_seed, dims_layout=dims_layout)
-        for g in range(roots.shape[0])])
-
-
-# ----------------------------------------------------------------------
-# Shared-memory world publication
-# ----------------------------------------------------------------------
-class SharedWorld:
-    """Read-only world arrays published once for every worker.
-
-    Lifecycle: the parent calls :meth:`publish` (copies each array into
-    its own shared-memory segment and returns a picklable handle),
-    workers call :meth:`attach` (zero-copy, read-only views; each
-    worker unregisters the segments from its own resource tracker so
-    only the parent unlinks), and the parent calls :meth:`close` after
-    the pool has drained.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list[shared_memory.SharedMemory] = []
-        self.handle: tuple | None = None
-
-    def publish(self, **arrays: np.ndarray) -> tuple:
-        """Copy arrays into shared memory; returns the attach handle."""
-        if self.handle is not None:
-            raise GroupError("world already published")
-        specs = []
-        for field in _WORLD_FIELDS:
-            array = np.ascontiguousarray(arrays[field])
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(array.nbytes, 1))
-            view = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=segment.buf)
-            view[...] = array
-            self._segments.append(segment)
-            specs.append((segment.name, array.shape, array.dtype.str))
-        self.handle = tuple(specs)
-        return self.handle
-
-    @staticmethod
-    def attach(handle: tuple, unregister: bool = False
-               ) -> tuple[dict, list]:
-        """Zero-copy read-only views of a published world.
-
-        Returns ``(arrays, segments)``; the caller must keep the
-        segments referenced while the views are in use and close them
-        afterwards (:func:`_detach`).  ``unregister`` must be True in
-        workers started via *spawn*: there, attaching registers the
-        borrowed segment with the worker's own resource tracker, which
-        would unlink it (and warn) at worker exit.  Fork workers share
-        the parent's tracker, where re-registration is idempotent and
-        unregistering would strip the parent's own claim.
-        """
-        arrays: dict[str, np.ndarray] = {}
-        segments = []
-        for field, (name, shape, dtype) in zip(_WORLD_FIELDS, handle):
-            segment = shared_memory.SharedMemory(name=name)
-            if unregister:
-                try:
-                    resource_tracker.unregister(segment._name,
-                                                "shared_memory")
-                except Exception:
-                    pass
-            view = np.ndarray(shape, dtype=np.dtype(dtype),
-                              buffer=segment.buf)
-            view.flags.writeable = False
-            arrays[field] = view
-            segments.append(segment)
-        return arrays, segments
-
-    def close(self) -> None:
-        """Release and unlink every published segment (parent only)."""
-        for segment in self._segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments = []
-        self.handle = None
-
-
-def _detach(segments: list) -> None:
-    for segment in segments:
-        segment.close()
-
-
-def _run_shard(payload: tuple) -> GroupPassResult:
-    """Worker body: attach the world, run one shard's group slice."""
-    handle, lo, hi, params = payload
-    arrays, segments = SharedWorld.attach(
-        handle, unregister=params["unregister"])
-    try:
-        csr = CSRGraph(arrays["indptr"], arrays["indices"])
-        indptr = arrays["member_indptr"]
-        rows = arrays["member_rows"][indptr[lo]:indptr[hi]]
-        capacities = arrays["capacities"]
-        return run_group_pass(
-            csr, arrays["latency"], arrays["coords"],
-            arrays["roots"][lo:hi], np.ascontiguousarray(rows),
-            np.ascontiguousarray(indptr[lo:hi + 1] - indptr[lo]),
-            ttl=params["ttl"], scheme=params["scheme"],
-            capacities=capacities if params["scheme"] == "ssa" else None,
-            ssa_seed=params["ssa_seed"], group_offset=lo,
-            dims_layout=params["dims_layout"])
-    finally:
-        _detach(segments)
+        _run_point(*point) for point in _slice_points(
+            csr, latency, coords, roots, member_rows, member_indptr,
+            bounds, group_offset, kwargs)])
 
 
 def run_sharded(csr: CSRGraph, latency: np.ndarray, coords: np.ndarray,
@@ -344,42 +323,19 @@ def run_sharded(csr: CSRGraph, latency: np.ndarray, coords: np.ndarray,
                 jobs: int = 1, dims_layout=None) -> GroupPassResult:
     """Run a multi-group pass over deterministic group shards.
 
-    ``jobs <= 1`` runs the shards inline (no pool, no shared memory);
-    otherwise the world is published once and the shards fan out over a
-    ``ProcessPoolExecutor``.  Results merge in shard order, so the
-    output is bit-identical for every ``shards``/``jobs`` combination.
+    Each shard is one :func:`run_points` point, so ``jobs <= 1`` runs
+    the shards inline and larger values fan them out over the process
+    pool.  Results merge in shard order, so the output is bit-identical
+    for every ``shards``/``jobs`` combination.
     """
+    if scheme == "ssa" and capacities is None:
+        raise GroupError("ssa passes need capacities")
     roots = np.asarray(roots, dtype=np.int64)
     member_rows = np.asarray(member_rows, dtype=np.int64)
     member_indptr = np.asarray(member_indptr, dtype=np.int64)
-    bounds = shard_bounds(roots.shape[0], shards)
-    params = {"ttl": int(ttl), "scheme": scheme, "ssa_seed": ssa_seed,
-              "dims_layout": dims_layout,
-              "unregister": pool_context().get_start_method() != "fork"}
-    if scheme == "ssa" and capacities is None:
-        raise GroupError("ssa passes need capacities")
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(bounds) == 1:
-        return merge_results([
-            _run_slice(csr, latency, coords, roots, member_rows,
-                       member_indptr, lo, hi, ttl=int(ttl), scheme=scheme,
-                       capacities=capacities, ssa_seed=ssa_seed,
-                       dims_layout=dims_layout)
-            for lo, hi in bounds])
-    world = SharedWorld()
-    try:
-        handle = world.publish(
-            indptr=csr.indptr, indices=csr.indices, latency=latency,
-            coords=coords,
-            capacities=(capacities if capacities is not None
-                        else np.ones(csr.node_count)),
-            roots=roots, member_rows=member_rows,
-            member_indptr=member_indptr)
-        payloads = [(handle, lo, hi, params) for lo, hi in bounds]
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(payloads)),
-                mp_context=pool_context()) as pool:
-            parts = list(pool.map(_run_shard, payloads))
-    finally:
-        world.close()
-    return merge_results(parts)
+    kwargs = {"ttl": int(ttl), "scheme": scheme, "capacities": capacities,
+              "ssa_seed": ssa_seed, "dims_layout": dims_layout}
+    points = _slice_points(csr, latency, coords, roots, member_rows,
+                           member_indptr,
+                           shard_bounds(roots.shape[0], shards), 0, kwargs)
+    return merge_results(run_points(_run_point, points, jobs))

@@ -42,10 +42,6 @@ class Zone:
         """True if ``point`` falls inside this zone."""
         return bool(((point >= self.lows) & (point < self.highs)).all())
 
-    def center(self) -> np.ndarray:
-        """Zone midpoint."""
-        return (self.lows + self.highs) / 2.0
-
     def split(self, new_owner: int) -> "Zone":
         """Halve this zone along its longest dimension; return the new
         upper half (this zone keeps the lower half)."""

@@ -77,7 +77,3 @@ class TransportError(ReproError):
 
 class FramingError(TransportError):
     """A wire frame could not be encoded or decoded."""
-
-
-class DeliveryError(TransportError):
-    """A reliable send exhausted its retransmit budget without an ack."""

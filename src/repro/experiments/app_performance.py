@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.parallel import run_points
 from ..metrics.tree_metrics import (
     aggregate_workloads,
     node_stress,
@@ -38,7 +39,6 @@ from .common import (
     pick_rendezvous_points,
     sweep_sizes,
 )
-from .parallel import run_points
 
 GROUPS_PER_OVERLAY = 10
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.parallel import run_points
 from .common import (
     ExperimentResult,
     build_for_experiment,
@@ -31,7 +32,6 @@ from .common import (
     pick_rendezvous_points,
     sweep_sizes,
 )
-from .parallel import run_points
 
 RENDEZVOUS_POINTS = 10
 

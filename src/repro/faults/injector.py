@@ -89,12 +89,6 @@ class FaultInjector:
         self.simulator = network.simulator
         return self
 
-    def detach(self) -> None:
-        """Remove this injector from its network."""
-        if self.network is not None:
-            self.network.fault_injector = None
-        self.network = None
-
     def arm(
         self,
         simulator: Simulator | None = None,

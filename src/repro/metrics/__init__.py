@@ -2,7 +2,6 @@
 
 from .tree_metrics import (
     aggregate_workloads,
-    aggregate_workloads_arrays,
     link_stress,
     node_stress,
     node_stress_arrays,
@@ -18,7 +17,6 @@ from .overlay_metrics import (
 
 __all__ = [
     "aggregate_workloads",
-    "aggregate_workloads_arrays",
     "link_stress",
     "node_stress",
     "node_stress_arrays",

@@ -11,7 +11,7 @@ representations the dimensional layer is built on:
   ``int64`` count vector (no float accumulator), so merging two
   sketches is integer addition: commutative, associative, and
   bit-identical no matter how observations are split across
-  ``core/parallel`` shards or ``experiments/parallel`` workers.
+  ``core/parallel`` shards and pool workers.
 * Segmented column kernels — :func:`segment_log_histogram` and
   :func:`sketch_quantiles` operate on ``(n_groups, cells)`` ``int64``
   matrices (one sketch row per group) with vectorized numpy, so

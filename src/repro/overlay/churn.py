@@ -79,7 +79,6 @@ class ChurnProcess:
         self._c_joins = self.registry.counter("churn.joins")
         self._c_departures = self.registry.counter("churn.departures")
         self._c_crashes = self.registry.counter("churn.crashes")
-        self._c_forced = self.registry.counter("churn.forced_crashes")
         self.joined: list[int] = []
         self.departed: list[int] = []
         self.crashed: list[int] = []
@@ -87,35 +86,6 @@ class ChurnProcess:
     def start(self) -> None:
         """Schedule the first arrival."""
         self._schedule_next_join()
-
-    def apply_fault_plan(self, plan) -> int:
-        """Schedule a :class:`~repro.faults.plan.FaultPlan`'s crash
-        events as deterministic, named-peer crashes.
-
-        Unlike the lifetime-driven stochastic crashes, these target
-        specific peers at specific virtual times — the knob adversarial
-        schedules use to take down exactly the forwarders they mean to.
-        Restart events are ignored at this layer (a restarted peer
-        rejoins through the ordinary bootstrap path).  Returns the
-        number of crashes scheduled.
-        """
-        scheduled = 0
-        for crash in plan.crashes:
-            if crash.at_ms < self.simulator.now:
-                continue
-            self.simulator.schedule_at(
-                crash.at_ms,
-                lambda peer=crash.peer_id: self._forced_crash(peer))
-            scheduled += 1
-        return scheduled
-
-    def _forced_crash(self, peer_id: int) -> None:
-        if not self.maintenance.is_alive(peer_id):
-            return
-        self.maintenance.crash(peer_id)
-        self.crashed.append(peer_id)
-        self._c_forced.inc()
-        self._c_crashes.inc()
 
     # ------------------------------------------------------------------
     def _schedule_next_join(self) -> None:

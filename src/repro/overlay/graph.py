@@ -296,16 +296,6 @@ class OverlayNetwork:
             best = max(best, max(dist.values()))
         return best
 
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph (capacity as node attribute)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for peer_id, info in self._peers.items():
-            graph.add_node(peer_id, capacity=info.capacity)
-        graph.add_edges_from(self.edges())
-        return graph
-
     def _require(self, peer_id: int) -> None:
         if peer_id not in self._peers:
             raise PeerNotFoundError(f"peer {peer_id} is not in the overlay")

@@ -128,10 +128,6 @@ class MaintenanceDaemon:
         """All currently live maintained peers."""
         return [p for p, s in self._states.items() if s.alive]
 
-    def maintained_peers(self) -> list[int]:
-        """Every peer with maintenance state, dead or alive."""
-        return list(self._states)
-
     def missed_heartbeats(self, peer_id: int) -> dict[int, int]:
         """``{neighbor: consecutive missed heartbeats}`` as seen by
         ``peer_id`` (read-only copy; invariant checkers use this to

@@ -2,19 +2,16 @@
 
 The evaluation counts messages per scheme (Figure 11) and measures
 latencies along message paths, so every protocol action in the library
-records what it sent through a :class:`MessageStats` ledger.  Message
-dataclasses mirror the wire formats sketched in Section 3.3 (``Mprob``,
-``Mprob_resp``) and Section 2.2 (advertisement/subscription).
+records what it sent through a :class:`MessageStats` ledger.
+:class:`AdvertisementMessage` mirrors the announcement of Section 2.2.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
-
-from ..peers.peer import PeerInfo
 
 
 class MessageKind(enum.Enum):
@@ -93,32 +90,6 @@ class MessageStats:
 
 
 @dataclass(frozen=True)
-class ProbeMessage:
-    """``Mprob``: a joining peer probing a bootstrap candidate."""
-
-    source: PeerInfo
-    ttl: int = 0
-    hops: int = 0
-
-
-@dataclass(frozen=True)
-class ProbeResponse:
-    """``Mprob_resp``: probe reply augmented with the neighbor list."""
-
-    source: PeerInfo
-    neighbors: tuple[PeerInfo, ...]
-    ttl: int = 0
-    hops: int = 0
-
-
-@dataclass(frozen=True)
-class BackConnectRequest:
-    """Backward-connection request carrying the requester quadruplet."""
-
-    requester: PeerInfo
-
-
-@dataclass(frozen=True)
 class AdvertisementMessage:
     """A service announcement (SSA or NSSA) in flight.
 
@@ -143,12 +114,3 @@ class AdvertisementMessage:
             ttl=self.ttl - 1,
             elapsed_ms=self.elapsed_ms + link_latency_ms,
         )
-
-
-@dataclass(frozen=True)
-class SubscriptionMessage:
-    """A join request travelling the reverse advertisement path."""
-
-    group_id: int
-    subscriber: int
-    via: tuple[int, ...] = field(default_factory=tuple)

@@ -16,7 +16,8 @@ chatter (acks, retransmits, duplicates, expiries) lands under
 ``runtime.*`` and never pollutes the logical counts.
 
 An optional ``latency_fn`` *paces* deliveries: a frame delivered early
-is held until ``sent_at + latency_fn(sender, recipient)``.  Loopback
+is held until ``sent_at + latency_fn(sender, recipient)``, and never
+longer than that latency, whatever its send stamp says.  Loopback
 jitter is ~1-2 ms, so pacing with the sim's own latency model (plus
 topologies whose path sums differ by more than the jitter) makes the
 live NSSA tree converge to the simulated one — the basis of the
@@ -476,16 +477,19 @@ class AsyncioTransport(Transport):
         delay_ms = 0.0
         if self.latency_fn is not None:
             try:
-                target_ms = frame.sent_at_ms + self.latency_fn(
-                    frame.sender, frame.recipient)
+                latency_ms = self.latency_fn(frame.sender, frame.recipient)
             except (KeyError, TopologyError):
                 # Pairs outside the pacing table (ops probes cross the
                 # overlay; edge-keyed tables only cover neighbors; the
                 # underlay raises TopologyError for an unattached peer)
                 # are delivered unpaced instead of wedging the socket
                 # callback.
-                target_ms = self.now()
-            delay_ms = max(0.0, target_ms - self.now())
+                latency_ms = 0.0
+            # An honest frame is never stamped in the future, so its
+            # hold never exceeds the transit latency; a forged future
+            # stamp must not park the delivery beyond it.
+            delay_ms = min(latency_ms, max(
+                0.0, frame.sent_at_ms + latency_ms - self.now()))
         self._outstanding += 1
         self.arm_timer(delay_ms, lambda: self._deliver(frame, span))
 

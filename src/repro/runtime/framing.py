@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, get_type_hints
 
@@ -194,13 +195,16 @@ def decode_frame(datagram: bytes) -> Frame:
                 raise FramingError(f"malformed span header: {triple!r}")
             span = SpanContext(int(triple[0]), int(triple[1]),
                                int(triple[2]))
+        sent_at_ms = float(body.get("s", 0.0))
+        if not math.isfinite(sent_at_ms):
+            raise FramingError(f"non-finite send time {sent_at_ms!r}")
         return Frame(
             frame_type=frame_type,
             sender=int(body["a"]),
             recipient=int(body["b"]),
             seq=int(body["q"]),
             kind=kind,
-            sent_at_ms=float(body.get("s", 0.0)),
+            sent_at_ms=sent_at_ms,
             payload=decode_payload(body["p"]) if "p" in body else None,
             nonce=int(body.get("n", 0)),
             span=span,

@@ -128,11 +128,6 @@ class MessageNetwork:
         """Messages whose recipient had no handler on arrival."""
         return self._c_dead.value
 
-    @property
-    def pending_deliveries(self) -> int:
-        """Scheduled deliveries that have not fired yet (in flight)."""
-        return self._pending
-
     def edge_latencies(self, csr, ids) -> "np.ndarray":
         """Per-directed-edge transit latencies for the array kernels.
 

@@ -48,7 +48,12 @@ from repro.core.multigroup import _ssa_link_preferences
 from repro.errors import GroupError
 from repro.groupcast.advertisement import propagate_advertisement
 from repro.groupcast.subscription import subscribe_members
-from repro.obs.registry import Registry
+from repro.obs.registry import (
+    NULL_REGISTRY,
+    Registry,
+    enable_telemetry,
+    set_default_registry,
+)
 from repro.overlay.messages import MessageStats
 from repro.sim.engine import Simulator
 from repro.sim.messaging import MessageNetwork
@@ -224,6 +229,25 @@ def test_sharded_output_independent_of_jobs(world, scheme):
             assert result.metrics() == reference.metrics()
 
 
+@pytest.mark.parametrize("scheme", ["nssa", "ssa"])
+def test_sharded_telemetry_independent_of_jobs(world, scheme):
+    """With telemetry on, shards run under per-point registries that
+    fold back in shard order, inline and across the pool alike."""
+    args, kwargs = _pass_kwargs(world, scheme)
+    digests, states = [], []
+    for jobs in (1, 2):
+        registry = enable_telemetry()
+        try:
+            result = run_sharded(*args, shards=3, jobs=jobs, **kwargs)
+            states.append(registry.dump_state())
+        finally:
+            set_default_registry(NULL_REGISTRY)
+        digests.append(result.merged_digest())
+    assert digests[0] == digests[1] == \
+        run_group_pass_loop(*args, **kwargs).merged_digest()
+    assert states[0] == states[1]
+
+
 def test_shard_bounds_cover_and_balance():
     bounds = shard_bounds(10, 4)
     assert bounds[0][0] == 0 and bounds[-1][1] == 10
@@ -317,6 +341,17 @@ def test_kernel_modules_import_first(module):
     """Either kernel module imports in a fresh interpreter (no cycle)."""
     subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
                    env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_core_imports_no_experiments():
+    """``repro.core`` sits below ``repro.experiments``: importing it in a
+    fresh interpreter loads no experiments module."""
+    probe = ("import sys, repro.core; print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.experiments')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

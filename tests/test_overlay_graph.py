@@ -119,12 +119,6 @@ class TestStatistics:
             overlay.add_link(i, i + 1)
         assert overlay.estimated_diameter(rng, samples=6) == 5
 
-    def test_to_networkx(self, triangle):
-        graph = triangle.to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 3
-        assert graph.nodes[0]["capacity"] == 10.0
-
     def test_empty_graph_statistics(self):
         overlay = OverlayNetwork()
         assert overlay.is_connected()

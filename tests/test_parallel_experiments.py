@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import app_performance, service_lookup
-from repro.experiments.parallel import run_points
+from repro.core.parallel import run_points
 from repro.experiments.runner import main as runner_main
 from repro.obs.registry import (
     NULL_REGISTRY,

@@ -349,6 +349,15 @@ def test_wrongly_typed_fields_raise_framing_error(datagram):
         decode_frame(datagram)
 
 
+@pytest.mark.parametrize("stamp", [b"Infinity", b"-Infinity", b"NaN",
+                                   b"1e999"])
+def test_non_finite_send_time_raises_framing_error(stamp):
+    """A non-finite ``"s"`` would hold a paced delivery for ever."""
+    with pytest.raises(FramingError, match="non-finite"):
+        decode_frame(b'RPR1{"y":"data","a":1,"b":2,"q":0,"s":' + stamp
+                     + b'}')
+
+
 @pytest.mark.parametrize("depth", [100, 300, 450, 600, 900, 950, 990,
                                    1500])
 def test_deeply_nested_payload_field_raises_only_framing_error(depth):

@@ -23,6 +23,7 @@ Marked ``runtime``: excluded from tier-1, run by the CI runtime job.
 
 import asyncio
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from repro.runtime import (
     transcript_from_session,
 )
 from repro.runtime.faulty import FaultyTransport
-from repro.runtime.framing import DATA
+from repro.runtime.framing import DATA, Frame, encode_frame
 from repro.runtime.reliability import RetryPolicy
 from repro.sim.random import spawn_rng
 
@@ -396,3 +397,31 @@ def test_new_frame_pulls_a_long_backoff_timer_in():
         assert transport.quiescent()
 
     asyncio.run(episode())
+
+
+def test_future_stamped_frame_is_held_at_most_the_transit_latency():
+    """A frame whose send stamp lies an hour ahead is delivered after the
+    pair's 5 ms pacing latency instead of being parked until the stamp
+    comes due, which would keep the transport from ever quiescing."""
+
+    async def episode():
+        transport = AsyncioTransport(latency_fn=lambda a, b: 5.0)
+        await transport.start()
+        received = []
+        await transport.start_peer(1, lambda envelope: None)
+        address = await transport.start_peer(
+            2, lambda e: received.append(e.payload.payload_id))
+        forged = Frame(DATA, 1, 2, 0, MessageKind.PAYLOAD.value,
+                       transport.now() + 3_600_000.0, Payload(GROUP, 0, 1))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(encode_frame(forged), address)
+        deadline = transport.now() + 1_000.0
+        while not received and transport.now() < deadline:
+            await asyncio.sleep(0.01)
+        quiet = await transport.wait_quiescent(SETTLE_S)
+        await transport.close()
+        return received, quiet
+
+    received, quiet = asyncio.run(episode())
+    assert quiet
+    assert received == [0]
